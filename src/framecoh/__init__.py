@@ -33,7 +33,6 @@ from .equivalence import (
     linear_time_flip,
 )
 from .experiments import (
-    ExperimentConfig,
     ExperimentReport,
     run_experiment,
     trial_seed,
@@ -46,6 +45,7 @@ from .frame import (
     CoherenceReport,
     Frame,
     average_coherence,
+    coherence,
     gram,
     scp_check,
     spectral_norm,
@@ -69,7 +69,9 @@ from .ost import (
     noise_floor_threshold,
     ost_recover,
     ost_threshold,
+    ost_trial,
     snr_of,
+    sparsity_regime_limit,
     weak_rip_estimate,
 )
 

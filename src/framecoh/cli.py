@@ -109,24 +109,21 @@ def _cmd_flip(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    import numpy as np
-
-    from .experiments import _cell, trial_seed, wilson_interval
+    from .experiments import ExperimentReport, trial_seed, wilson_interval
     from .frame import spectral_norm, worst_case_coherence
     from .frameio import read_frame
     from .ost import (
+        OST_TRIAL_HEADER,
         FlatAmplitudes,
-        NoiseModel,
         TwoTierAmplitudes,
-        check_rsp_bounds,
-        floor_sets,
-        generate_problem,
         noise_floor_threshold,
-        ost_recover,
-        ost_threshold,
-        snr_of,
+        ost_trial,
     )
 
+    if not (args.sigma2 > 0 and math.isfinite(args.sigma2)):
+        raise ValueError(f"--sigma2 must be a positive number, got {args.sigma2!r}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     frame = read_frame(args.frame)
     n = frame.cols
     mu = worst_case_coherence(frame)
@@ -138,37 +135,19 @@ def _cmd_recover(args) -> int:
     else:
         law = TwoTierAmplitudes(alpha, math.sqrt(2.0 * args.sigma2 * math.log(n)))
 
-    rows = []
-    hits = 0
-    for i in range(args.trials):
-        x, y = generate_problem(
-            frame,
-            args.K,
-            law,
-            NoiseModel(args.sigma2, seed=trial_seed(args.seed, 2 * i + 1)),
-            seed=trial_seed(args.seed, 2 * i),
+    rows = [
+        ost_trial(
+            frame, args.K, law, args.sigma2, args.t, mu, sn,
+            index=i,
+            signal_seed=trial_seed(args.seed, 2 * i),
+            noise_seed=trial_seed(args.seed, 2 * i + 1),
+            lam=args.lam,
+            snr=args.snr,
         )
-        if args.lam is not None:
-            lam = args.lam
-        else:
-            snr = args.snr if args.snr is not None else snr_of(x, frame.rows, args.sigma2)
-            lam = ost_threshold(mu, frame.rows, snr, args.sigma2, n, args.t)
-        res = ost_recover(frame, y, lam)
-        floors = floor_sets(x, args.sigma2, mu, args.t)
-        rsp = check_rsp_bounds(res, x, args.K, args.sigma2, n, spectral_norm=sn, floors=floors)
-        must = np.intersect1d(floors[0], floors[1])
-        khat = res.support_estimate
-        ok = bool(
-            np.all(np.isin(must, khat))
-            and np.all(np.isin(khat, x.support))
-            and rsp.support_bound_ok
-        )
-        hits += ok
-        exact = bool(khat.size == args.K and np.array_equal(khat, x.support))
-        rows.append((i, args.K, khat.size, exact, res.l2_error, res.bound_rhs, ok))
-
-    text = "trial,K,|Khat|,exact_support,l2_error,bound_rhs,ok\n"
-    text += "\n".join(",".join(_cell(v) for v in row) for row in rows) + "\n"
+        for i in range(args.trials)
+    ]
+    hits = sum(row[-1] for row in rows)
+    text = ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text()
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -236,7 +215,7 @@ def read_config_file(path) -> dict:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import ExperimentConfig, RUNNERS
+    from .experiments import RUNNERS, run_experiment
 
     name = args.id
     file_values = read_config_file(args.config) if args.config else {}
@@ -247,6 +226,12 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"unknown experiment {name!r}; expected one of: {known}")
 
     mapping = _EXPERIMENT_PARAMS[name]
+    unknown = sorted(set(file_values) - set(mapping) - {"experiment"})
+    if unknown:
+        valid = ", ".join(sorted([*mapping, "experiment"]))
+        raise ValueError(
+            f"{args.config}: unknown key(s) {', '.join(unknown)} for {name}; valid keys: {valid}"
+        )
     params = {}
     for key, (kw, cast) in mapping.items():
         if key in file_values:
@@ -259,7 +244,7 @@ def _cmd_experiment(args) -> int:
         t = params.pop("t", 1)
         params["cases"] = ((m, t),)
 
-    report = ExperimentConfig(name, params, args.output).run()
+    report = run_experiment(name, **params)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(report.csv_text())

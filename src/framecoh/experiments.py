@@ -25,18 +25,17 @@ from .constructions import (
     xor_stationary_coherence,
 )
 from .equivalence import exhaustive_flip_oracle, linear_time_flip
-from .frame import Frame, gram, spectral_norm
+from .frame import Frame, coherence, spectral_norm
 from .ost import (
+    OST_TRIAL_HEADER,
     FlatAmplitudes,
     NoiseModel,
     SparseSignal,
-    check_rsp_bounds,
-    floor_sets,
     generate_problem,
     noise_floor_threshold,
     ost_recover,
-    ost_threshold,
-    snr_of,
+    ost_trial,
+    sparsity_regime_limit,
     weak_rip_estimate,
 )
 
@@ -101,15 +100,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _mu_nu(frame: Frame):
-    """Worst-case and average coherence from one shared Gram evaluation."""
-    g = gram(frame)
-    absg = np.abs(g)
-    np.fill_diagonal(absg, 0.0)
-    off = g.sum(axis=1) - np.diag(g)
-    return float(absg.max()), float(np.max(np.abs(off)) / (frame.cols - 1))
-
-
 def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> ExperimentReport:
     """One-sided checks of the three normalized-Gaussian geometry bounds."""
     ln = math.log(cols)
@@ -127,7 +117,7 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
     for i in range(trials):
         s = trial_seed(seed, i)
         frame = build_gaussian(GaussianFrameSpec(rows, cols, s))
-        mu, nu = _mu_nu(frame)
+        mu, nu = coherence(frame)
         sn = spectral_norm(frame)
         ok = mu <= bound_mu and nu <= bound_nu and sn <= bound_sn
         hits += ok
@@ -176,7 +166,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
         worst_tight = max(worst_tight, tight_err)
         if tight_err > 1e-9:
             all_tight = False
-        mu, nu = _mu_nu(frame)
+        mu, nu = coherence(frame)
         ok_i = 0.5 * m <= card <= 1.5 * m
         ok_ii = nu <= mu / math.sqrt(card)
         ok_iii = mu <= bound_iii
@@ -208,10 +198,6 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
     return report
 
 
-#: Above this many columns the XOR-stationary shortcut replaces the dense Gram.
-_CODE_DENSE_LIMIT = 1 << 12
-
-
 def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2)), seed=0) -> ExperimentReport:
     """Deterministic tightness and coherence checks for code-based frames."""
     out_rows = []
@@ -221,10 +207,7 @@ def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2)), seed=0) -> Experim
         frame = build_code_frame(spec)
         sn2 = spectral_norm(frame) ** 2
         norm2_err = abs(sn2 - 2 ** (t * m))
-        if frame.cols <= _CODE_DENSE_LIMIT:
-            mu, nu = _mu_nu(frame)
-        else:
-            mu, nu = xor_stationary_coherence(frame)
+        mu, nu = xor_stationary_coherence(frame)
         mu_bound = 1.0 / math.sqrt(2 ** (m - 2 * t - 1))
         nu_bound = mu / math.sqrt(2**m)
         # 1e-12 headroom covers float rounding only; the inequalities are exact
@@ -259,7 +242,7 @@ def run_flip_guarantee(
         s = trial_seed(seed, i)
         frame = build_gaussian(GaussianFrameSpec(rows, cols, s))
         flipped, _ = linear_time_flip(frame)
-        mu, nu = _mu_nu(flipped)
+        mu, nu = coherence(flipped)
         bound = mu / math.sqrt(rows)
         ok = nu <= bound + 1e-12
         greedy_ok += ok
@@ -270,7 +253,7 @@ def run_flip_guarantee(
         s = trial_seed(seed, trials + i)
         frame = build_gaussian(GaussianFrameSpec(oracle_rows, oracle_cols, s))
         flipped, _ = linear_time_flip(frame)
-        mu, alg_nu = _mu_nu(flipped)
+        mu, alg_nu = coherence(flipped)
         _, _, min_nu = exhaustive_flip_oracle(frame)
         ok = min_nu <= alg_nu + 1e-9
         oracle_ok += ok
@@ -322,7 +305,7 @@ def run_weak_rip(
     frame = build_code_frame(spec)
     n = frame.cols
     ln = math.log(n)
-    mu, nu = _mu_nu(frame) if n <= _CODE_DENSE_LIMIT else xor_stationary_coherence(frame)
+    mu, _ = xor_stationary_coherence(frame)
     if 2 * code_k * ln > frame.rows:
         raise ValueError("2 K ln N exceeds M; pick a smaller K")
     delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)
@@ -372,7 +355,7 @@ def run_ost_recovery(
 ) -> ExperimentReport:
     """Monte Carlo check of the OST support-containment + error-bound event."""
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
-    mu, _ = _mu_nu(frame)
+    mu, _ = coherence(frame)
     sn = spectral_norm(frame)
     tau_sigma = noise_floor_threshold(sigma2, cols, t_param)
     alpha = amp_factor * tau_sigma
@@ -386,29 +369,19 @@ def run_ost_recovery(
     exact_count = 0
     khat_sizes = []
     for i in range(trials):
-        x, y = generate_problem(
-            frame,
-            k,
-            law,
-            NoiseModel(sigma2, seed=trial_seed(seed, 2 * i + 2)),
-            seed=trial_seed(seed, 2 * i + 1),
+        row = ost_trial(
+            frame, k, law, sigma2, t_param, mu, sn,
+            index=i,
+            signal_seed=trial_seed(seed, 2 * i + 1),
+            noise_seed=trial_seed(seed, 2 * i + 2),
+            lam=None,
+            snr=None,
         )
-        snr = snr_of(x, rows, sigma2)
-        lam = ost_threshold(mu, rows, snr, sigma2, cols, t_param)
-        res = ost_recover(frame, y, lam)
-        floors = floor_sets(x, sigma2, mu, t_param)
-        rsp = check_rsp_bounds(res, x, k, sigma2, cols, spectral_norm=sn, floors=floors)
-        must_find = np.intersect1d(floors[0], floors[1])
-        khat = res.support_estimate
-        contained = bool(
-            np.all(np.isin(must_find, khat)) and np.all(np.isin(khat, x.support))
-        )
-        ok = contained and rsp.support_bound_ok
+        _, _, khat_size, exact, _, _, ok = row
         hits += ok
-        exact = bool(khat.size == k and np.array_equal(khat, x.support))
         exact_count += exact
-        khat_sizes.append(khat.size)
-        out_rows.append((i, k, khat.size, exact, res.l2_error, res.bound_rhs, ok))
+        khat_sizes.append(khat_size)
+        out_rows.append(row)
 
     freq = hits / trials
     level = 1.0 - 10.0 / cols
@@ -433,10 +406,10 @@ def run_ost_recovery(
         ) <= 1e-12 * x.norm():
             sanity_ok += 1
 
-    regime_limit = cols / ((37.0 * math.e) ** 2 * sn**2 * math.log(cols))
+    regime_limit = sparsity_regime_limit(cols, sn)
     report = ExperimentReport(
         experiment="ost-recovery",
-        header=["trial", "K", "|Khat|", "exact_support", "l2_error", "bound_rhs", "ok"],
+        header=list(OST_TRIAL_HEADER),
         rows=out_rows,
         summary=[
             f"frame mu = {mu:.4f}, ||F||_2 = {sn:.4f}; noise floor threshold {tau_sigma:.3f}, "
@@ -506,18 +479,6 @@ RUNNERS = {
     "ost-recovery": run_ost_recovery,
     "bounds-figure": run_bounds_figure,
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """Experiment id plus keyword parameters and an optional CSV output path."""
-
-    experiment: str
-    params: dict = field(default_factory=dict)
-    output: str | None = None
-
-    def run(self) -> ExperimentReport:
-        return run_experiment(self.experiment, **self.params)
 
 
 def run_experiment(name: str, **params) -> ExperimentReport:

@@ -116,11 +116,6 @@ class CoherenceReport:
     scp2: bool
 
 
-def _require_pair(frame: Frame):
-    if frame.cols < 2:
-        raise ValueError("coherence undefined for a single vector")
-
-
 def gram(frame: Frame) -> np.ndarray:
     """N x N matrix of inner products between the frame elements.
 
@@ -130,20 +125,29 @@ def gram(frame: Frame) -> np.ndarray:
     return frame.data.conj().T @ frame.data
 
 
+def coherence(frame: Frame) -> tuple[float, float]:
+    """Worst-case and average coherence (mu, nu) from one Gram evaluation.
+
+    mu is the largest |<f_i, f_j>| over distinct column pairs; nu is
+    max_i |sum_{j != i} <f_i, f_j>| scaled by 1/(N-1).
+    """
+    if frame.cols < 2:
+        raise ValueError("coherence undefined for a single vector")
+    g = gram(frame)
+    absg = np.abs(g)
+    np.fill_diagonal(absg, 0.0)
+    off = g.sum(axis=1) - np.diag(g)
+    return float(absg.max()), float(np.max(np.abs(off)) / (frame.cols - 1))
+
+
 def worst_case_coherence(frame: Frame) -> float:
     """Largest |<f_i, f_j>| over distinct column pairs."""
-    _require_pair(frame)
-    g = np.abs(gram(frame))
-    np.fill_diagonal(g, 0.0)
-    return float(g.max())
+    return coherence(frame)[0]
 
 
 def average_coherence(frame: Frame) -> float:
     """max_i |sum_{j != i} <f_i, f_j>| scaled by 1/(N-1)."""
-    _require_pair(frame)
-    g = gram(frame)
-    off = g.sum(axis=1) - np.diag(g)
-    return float(np.max(np.abs(off)) / (frame.cols - 1))
+    return coherence(frame)[1]
 
 
 def spectral_norm(frame: Frame, tol: float = 1e-10, max_iter: int = 200_000) -> float:
@@ -198,9 +202,7 @@ def scp_check(frame: Frame, tol: float = 1e-10) -> CoherenceReport:
     The first verdict compares mu against 1/(164 ln N) -- natural log, see
     README -- and the second compares nu against mu/sqrt(M).
     """
-    _require_pair(frame)
-    mu = worst_case_coherence(frame)
-    nu = average_coherence(frame)
+    mu, nu = coherence(frame)
     sn = spectral_norm(frame, tol)
     scp1 = mu <= 1.0 / (164.0 * math.log(frame.cols))
     scp2 = nu <= mu / math.sqrt(frame.rows)

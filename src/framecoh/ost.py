@@ -136,18 +136,14 @@ def ost_threshold(mu: float, m: int, snr: float, sigma2: float, n: int, t: float
     return base * max((10.0 / t) * mu * math.sqrt(m * snr), math.sqrt(2.0) / (1.0 - t))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecoveryResult:
-    """OST output; the error/bound fields are filled by check_rsp_bounds."""
+    """OST output: the selected support, the fitted signal and the threshold used."""
 
     support_estimate: np.ndarray
     signal_estimate: np.ndarray
     lam: float
     rank_deficient: bool = False
-    l2_error: float | None = None
-    floor_sigma: np.ndarray | None = None
-    floor_mu: np.ndarray | None = None
-    bound_rhs: float | None = None
 
 
 def ost_recover(frame: Frame, y: np.ndarray, lam: float, rank_tol: float = 1e-10) -> RecoveryResult:
@@ -192,12 +188,10 @@ def floor_sets(x, sigma2: float, mu: float, t: float) -> tuple[np.ndarray, np.nd
     noise floor set:            |x_n| > (2 sqrt(2)/(1-t)) sqrt(2 sigma^2 ln N)
     self-interference floor set: |x_n| > (20/t) mu ||x|| sqrt(2 ln N)
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie strictly inside (0, 1)")
     dense = _as_dense(x)
     n = dense.size
     mags = np.abs(dense)
-    tau_sigma = (2.0 * math.sqrt(2.0) / (1.0 - t)) * math.sqrt(2.0 * sigma2 * math.log(n))
+    tau_sigma = noise_floor_threshold(sigma2, n, t)
     tau_mu = (20.0 / t) * mu * float(np.linalg.norm(dense)) * math.sqrt(2.0 * math.log(n))
     return np.flatnonzero(mags > tau_sigma), np.flatnonzero(mags > tau_mu)
 
@@ -207,6 +201,11 @@ def noise_floor_threshold(sigma2: float, n: int, t: float) -> float:
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly inside (0, 1)")
     return (2.0 * math.sqrt(2.0) / (1.0 - t)) * math.sqrt(2.0 * sigma2 * math.log(n))
+
+
+def sparsity_regime_limit(n: int, spectral_norm: float) -> float:
+    """Largest sparsity K of the OST regime K <= N / (c1^2 ||F||_2^2 ln N)."""
+    return n / (OST_C1 ** 2 * spectral_norm ** 2 * math.log(n))
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def check_rsp_bounds(
     floors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RspReport:
     """Evaluate the reconstruction error bounds and (optionally) the
-    sparsity-regime condition; fills result.l2_error and result.bound_rhs."""
+    sparsity-regime condition; ``result`` is left unchanged."""
     dense = _as_dense(x)
     support = np.flatnonzero(dense)
     khat = result.support_estimate
@@ -255,15 +254,12 @@ def check_rsp_bounds(
             np.linalg.norm(dense - x_t)
         )
         tterm_ok = err <= tterm_rhs
-        result.floor_sigma, result.floor_mu = fs, fm
 
     regime_ok = regime_limit = None
     if spectral_norm is not None:
-        regime_limit = n / (OST_C1 ** 2 * spectral_norm ** 2 * math.log(n))
+        regime_limit = sparsity_regime_limit(n, spectral_norm)
         regime_ok = k <= regime_limit
 
-    result.l2_error = err
-    result.bound_rhs = rhs2
     return RspReport(
         l2_error=err,
         support_rhs=rhs2,
@@ -274,6 +270,52 @@ def check_rsp_bounds(
         regime_ok=regime_ok,
         regime_limit=regime_limit,
     )
+
+
+#: Columns of the per-trial CSV row returned by :func:`ost_trial`.
+OST_TRIAL_HEADER = ("trial", "K", "|Khat|", "exact_support", "l2_error", "bound_rhs", "ok")
+
+
+def ost_trial(
+    frame: Frame,
+    k: int,
+    amplitude_law,
+    sigma2: float,
+    t: float,
+    mu: float,
+    spectral_norm: float,
+    *,
+    index: int,
+    signal_seed: int,
+    noise_seed: int,
+    lam: float | None,
+    snr: float | None,
+) -> tuple:
+    """One noisy OST recovery trial, returned as a row of OST_TRIAL_HEADER.
+
+    Draws (x, y) from the two seeds, thresholds at ``lam`` (when None, at
+    :func:`ost_threshold` with ``snr``, itself taken from the drawn signal
+    when None), recovers, and evaluates the floors and the error bounds.
+    ok means the support estimate contains T_sigma intersect T_mu, lies
+    inside the true support, and meets the support error bound.
+    """
+    x, y = generate_problem(
+        frame, k, amplitude_law, NoiseModel(sigma2, seed=noise_seed), seed=signal_seed
+    )
+    m, n = frame.rows, frame.cols
+    if lam is None:
+        if snr is None:
+            snr = snr_of(x, m, sigma2)
+        lam = ost_threshold(mu, m, snr, sigma2, n, t)
+    res = ost_recover(frame, y, lam)
+    floors = floor_sets(x, sigma2, mu, t)
+    rsp = check_rsp_bounds(res, x, k, sigma2, n, spectral_norm=spectral_norm, floors=floors)
+    khat = res.support_estimate
+    must_find = np.intersect1d(floors[0], floors[1])
+    contained = bool(np.all(np.isin(must_find, khat)) and np.all(np.isin(khat, x.support)))
+    exact = bool(khat.size == k and np.array_equal(khat, x.support))
+    ok = contained and rsp.support_bound_ok
+    return (index, k, khat.size, exact, rsp.l2_error, rsp.support_rhs, ok)
 
 
 def weak_rip_estimate(frame: Frame, x: SparseSignal, delta: float, trials: int, seed: int) -> float:

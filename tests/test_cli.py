@@ -163,6 +163,17 @@ def test_experiment_config_file_with_flag_override(tmp_path):
     assert float(r) == pytest.approx(math.cos(math.pi / int(n)), abs=1e-12)
 
 
+def test_experiment_config_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=flip-guarantee\ntrails=3\n")
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trails" in captured.err
+    assert "valid keys: M, N, experiment, seed, trials" in captured.err
+
+
 def test_read_config_file_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not key value\n")
@@ -180,6 +191,26 @@ def test_recover_csv_schema(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,K,|Khat|,exact_support,l2_error,bound_rhs,ok"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--sigma2", "0"], "--sigma2"),
+        (["--sigma2", "-1"], "--sigma2"),
+        (["--sigma2", "nan"], "--sigma2"),
+        (["--sigma2", "1.0", "--trials", "0"], "--trials"),
+    ],
+)
+def test_recover_bad_input_exit_2_before_output(tmp_path, capsys, argv, flag):
+    frame_path = tmp_path / "id.frame"
+    write_frame(frame_path, Frame(np.eye(8), normalize=False))
+    rc = main(["recover", str(frame_path), *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + flag)
+    assert captured.err.count("\n") == 1
 
 
 def test_recover_explicit_lambda_exact_on_identity(tmp_path, capsys):

@@ -3,7 +3,6 @@ import pytest
 
 from framecoh import bound_table, run_experiment, trial_seed, wilson_interval
 from framecoh.experiments import (
-    ExperimentConfig,
     run_bounds_figure,
     run_code_geometry,
     run_flip_guarantee,
@@ -148,10 +147,6 @@ class TestDispatch:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment("nope")
-
-    def test_config_object(self):
-        cfg = ExperimentConfig("bounds-figure", {"spatial_dim": 2, "n_max": 8})
-        assert cfg.run().passed
 
 
 # seed 0 breaks the cardinality window at target_rows=2 (found by scanning)
