@@ -83,8 +83,8 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
 
     The row-k, column-l entry of the non-normalized DFT is
     exp(2*pi*i*k*l/N); the product k*l is reduced mod N in exact integer
-    arithmetic before the complex exponential, so phases stay accurate for
-    large N.
+    arithmetic and indexes a table of the N roots of unity, so phases stay
+    accurate for large N and only N exponentials are evaluated.
     """
     rows = np.asarray(sorted(set(int(r) for r in np.asarray(rows).ravel())), dtype=np.int64)
     if rows.size == 0:
@@ -92,10 +92,9 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     if rows[0] < 0 or rows[-1] >= dft_size:
         raise ValueError(f"row indices must lie in [0, {dft_size})")
     cols = np.arange(dft_size, dtype=np.int64)
-    phase = (rows[:, None] * cols[None, :]) % dft_size
-    u = np.exp(2j * np.pi * phase / dft_size)
     # every entry has modulus 1, so normalization just divides by sqrt(#rows)
-    return Frame(u / math.sqrt(rows.size), normalize=False)
+    roots = np.exp(2j * np.pi * cols / dft_size) / math.sqrt(rows.size)
+    return Frame(roots[(rows[:, None] * cols[None, :]) % dft_size], normalize=False)
 
 
 def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:
@@ -167,21 +166,19 @@ def build_code_frame(spec: CodeFrameSpec) -> Frame:
     size = field.size
     bil = field.bilinear_trace_table  # bil[a, b] = Tr(a*b)
 
-    # row-indexed tables of x^(2^i + 1) for i = 1 .. t
+    # bits over axes (x, alpha_t, ..., alpha_0): XOR of the tables
+    # Tr(alpha_i * p_i(x)) with p_0(x) = x and p_i(x) = x^(2^i + 1)
     x = np.arange(size, dtype=np.int64)
-    powers = [field.pow_2k_plus_1(x, i) for i in range(1, spec.t + 1)]
-
-    col = np.arange(n_cols, dtype=np.int64)
-    mask = size - 1
-    alphas = [(col >> (i * spec.m)) & mask for i in range(spec.t + 1)]
+    polys = [x] + [field.pow_2k_plus_1(x, i) for i in range(1, spec.t + 1)]
+    bits = np.uint8(0)
+    for i, p in enumerate(polys):
+        shape = [size] + [1] * (spec.t + 1)
+        shape[spec.t + 1 - i] = size
+        bits = bits ^ bil[p].reshape(shape)
 
     scale = 2.0 ** (-spec.m / 2.0)
-    data = np.empty((size, n_cols), dtype=np.float64)
-    for xv in range(size):
-        bits = bil[alphas[0], xv].copy()
-        for i in range(1, spec.t + 1):
-            bits ^= bil[alphas[i], powers[i - 1][xv]]
-        data[xv] = np.where(bits, -scale, scale)
+    data = np.where(bits, -scale, scale).reshape(size, n_cols)
+    del bits  # Frame copies data; do not hold the sign bits alongside both
     # column norms: 2^m equal squares summing to 1 up to one rounding of scale^2
     return Frame(data, normalize=False)
 

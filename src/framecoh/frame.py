@@ -8,7 +8,6 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,9 @@ COMPLEX = "complex"
 #: Columns must carry unit Euclidean norm within this tolerance.
 UNIT_NORM_TOL = 1e-10
 
-# Fixed seed for the power-iteration start vector, so repeated calls on the
-# same frame return identical values.
-_POWER_SEED = 0x5EED_F0A3
+# Fixed seed for the Lanczos start vector, so repeated calls on the same
+# frame return identical values.
+_START_SEED = 0x5EED_F0A3
 
 
 class Frame:
@@ -150,50 +149,68 @@ def average_coherence(frame: Frame) -> float:
     return coherence(frame)[1]
 
 
-def spectral_norm(frame: Frame, tol: float = 1e-10, max_iter: int = 200_000) -> float:
+def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
     """Largest singular value of the frame matrix.
 
-    Runs power iteration on the smaller of F F^H and F^H F with a seeded
-    random start, stopping once successive Rayleigh quotients agree to a
-    fraction of ``tol``.  For a unit-norm tight frame the square of the
+    Runs Lanczos with full reorthogonalisation on the smaller of F F^H and
+    F^H F, applied matrix-free as v -> F (F^H v) (or F^H (F v) when M > N),
+    so neither product is formed.  The start vector is drawn from a fixed
+    seed, so repeated calls on the same frame return identical values.
+    After step j, let y be the computed top unit eigenvector of the Lanczos
+    tridiagonal T_j, theta = y^T T_j y and y_j its last component: the Ritz
+    pair has residual norm at most ||T_j y - theta y|| + beta_j |y_j| (the
+    first term is rounding-level), so an eigenvalue of F F^H lies within
+    that distance of theta.  The iteration stops once that residual is at
+    most ``tol * theta``, or when the Krylov space reaches its full
+    dimension min(M, N); there is no other step cap.  With probability 1
+    over the random start the eigenvalue so pinned is the largest one (a
+    start orthogonal to the top eigenvector is a measure-zero event), which
+    theta never exceeds.  For a unit-norm tight frame the square of the
     result equals N/M.
 
     Parameters
     ----------
     frame : Frame
     tol : float
-        Target relative accuracy; must be positive.
-    max_iter : int
-        Safety cap; a warning is emitted if it is reached.
+        Relative bound on the residual of the squared norm; must be positive.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = frame.data
+    ah = a.conj().T
     m, n = a.shape
-    b = a @ a.conj().T if m <= n else a.conj().T @ a
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(b.shape[0])
-    if np.iscomplexobj(b):
-        v = v + 1j * rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = -1.0
-    lam = 0.0
-    for _ in range(max_iter):
-        w = b @ v
-        lam = float(np.real(np.vdot(v, w)))  # Rayleigh quotient; v is unit
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam - lam_prev) <= 0.25 * tol * abs(lam):
-            break
-        lam_prev = lam
-    else:
-        warnings.warn(
-            f"power iteration hit the {max_iter}-step cap before reaching tol={tol}",
-            RuntimeWarning,
-        )
-    return math.sqrt(max(lam, 0.0))
+    if m > n:
+        a, ah = ah, a
+    dim = min(m, n)
+    rng = np.random.default_rng(_START_SEED)
+    v = rng.standard_normal(dim)
+    if frame.is_complex:
+        v = v + 1j * rng.standard_normal(dim)
+    basis = [v / np.linalg.norm(v)]
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        q = np.array(basis)
+        w = a @ (ah @ basis[-1])
+        alphas.append(float(np.real(np.vdot(basis[-1], w))))
+        for _ in range(2):  # classical Gram-Schmidt twice keeps the basis orthonormal
+            w -= q.T @ (q.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        # top eigenvector y of T by inverse iteration just above its largest
+        # eigenvalue (eigh's threaded back-transform stalls on shared cores)
+        shifted = t - float(np.linalg.eigvalsh(t)[-1]) * (1.0 + 2.0 ** -40) * np.eye(t.shape[0])
+        y = np.ones(t.shape[0])
+        for _ in range(2):
+            y = np.linalg.solve(shifted, y)
+            y /= np.linalg.norm(y)
+        ty = t @ y
+        theta = float(y @ ty)
+        # residual norm of the Ritz pair (theta, Q y) of the operator
+        if np.linalg.norm(ty - theta * y) + beta * abs(y[-1]) <= tol * theta or len(basis) == dim:
+            return math.sqrt(max(theta, 0.0))
+        betas.append(beta)
+        basis.append(w / beta)
 
 
 def scp_check(frame: Frame, tol: float = 1e-10) -> CoherenceReport:

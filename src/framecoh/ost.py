@@ -84,6 +84,10 @@ class FlatAmplitudes:
 
     alpha: float
 
+    def __post_init__(self):
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be a positive finite magnitude, got {self.alpha!r}")
+
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         return self.alpha * np.exp(2j * np.pi * rng.random(k))
 
@@ -94,6 +98,12 @@ class TwoTierAmplitudes:
 
     alpha: float
     low: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be a positive finite magnitude, got {self.alpha!r}")
+        if not (self.low >= 0 and math.isfinite(self.low)):
+            raise ValueError(f"low must be a nonnegative finite magnitude, got {self.low!r}")
 
     def sample(self, rng: np.random.Generator, k: int) -> np.ndarray:
         hi = (k + 1) // 2
@@ -132,6 +142,8 @@ def ost_threshold(mu: float, m: int, snr: float, sigma2: float, n: int, t: float
         raise ValueError("t must lie strictly inside (0, 1)")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
+    if not (snr >= 0 and math.isfinite(snr)):
+        raise ValueError(f"snr must be a nonnegative finite number, got {snr!r}")
     base = math.sqrt(2.0 * sigma2 * math.log(n))
     return base * max((10.0 / t) * mu * math.sqrt(m * snr), math.sqrt(2.0) / (1.0 - t))
 

@@ -200,6 +200,11 @@ def test_recover_csv_schema(tmp_path):
         (["--sigma2", "-1"], "--sigma2"),
         (["--sigma2", "nan"], "--sigma2"),
         (["--sigma2", "1.0", "--trials", "0"], "--trials"),
+        (["--sigma2", "1.0", "--snr", "-1"], "snr"),
+        (["--sigma2", "1.0", "--snr", "inf"], "snr"),
+        (["--sigma2", "1.0", "--alpha", "-3"], "alpha"),
+        (["--sigma2", "1.0", "--alpha", "0"], "alpha"),
+        (["--sigma2", "1.0", "--amplitude", "two-tier", "--alpha", "nan"], "alpha"),
     ],
 )
 def test_recover_bad_input_exit_2_before_output(tmp_path, capsys, argv, flag):

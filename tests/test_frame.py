@@ -9,11 +9,16 @@ from conftest import mercedes_frame, random_frame
 from framecoh import (
     COMPLEX,
     REAL,
+    CodeFrameSpec,
     FlipPattern,
     Frame,
+    GaussianFrameSpec,
     apply_flip,
     average_coherence,
+    build_code_frame,
+    build_gaussian,
     gram,
+    harmonic_frame_from_rows,
     load_flip_demo,
     scp_check,
     spectral_norm,
@@ -207,7 +212,23 @@ class TestSpectralNorm:
         f = random_frame(m, n, seed=seed, complex_=cplx)
         w = np.linalg.eigvalsh(f.data.conj().T @ f.data)
         dense = math.sqrt(max(float(w.max()), 0.0))
-        assert spectral_norm(f) == pytest.approx(dense, rel=1e-8)
+        assert spectral_norm(f) == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_meets_documented_tol_on_gaussian(self, seed):
+        f = build_gaussian(GaussianFrameSpec(128, 512, seed))
+        dense = math.sqrt(float(np.linalg.eigvalsh(f.data @ f.data.T).max()))
+        assert abs(spectral_norm(f) - dense) <= 1e-10 * dense
+
+    def test_analytic_harmonic_drop_one_row(self):
+        n = 256
+        f = harmonic_frame_from_rows(n, np.arange(1, n))
+        assert spectral_norm(f) == pytest.approx(math.sqrt(n / (n - 1)), rel=1e-12)
+
+    def test_analytic_code_frame(self):
+        m, t = 5, 2
+        f = build_code_frame(CodeFrameSpec(m, t))
+        assert spectral_norm(f) == pytest.approx(math.sqrt(2.0 ** (t * m)), rel=1e-12)
 
     def test_tightness_lower_bound(self):
         for seed in range(5):

@@ -42,10 +42,10 @@ RUNNER_CASES = {
 
 RUNNER_DIGESTS = {
     "bounds-figure": "f6da2ab26cad406931fba3d178016f064f60c101b16ba0711a4bd52583ee456f",
-    "code-geometry": "61f3571f367dff446b0b2e159dda6eca6f755989d1289f17b103140584618410",
+    "code-geometry": "ae630277d442d5f374d43a968669c45c9d1201bb1dcb22cf7dfa4ee44c747efe",
     "flip-guarantee": "fe0c404c076361feb9eef2c9bd230d2d83dfae97c2d634b271742d445a5184bf",
-    "gaussian-geometry": "8fa72dab211d930cb0f5b316d522263bb1869ea112f8aa0847095e279462fb77",
-    "harmonic-geometry": "7e73101a8d085022e613de05767979f8b743e6d5c491d64741363619e179f4f9",
+    "gaussian-geometry": "8cfec83cb7cffd80dd146e85241e818e16169ac0cb041c3f3a2fef4ef7cb3705",
+    "harmonic-geometry": "5219b8be271d745875f05d6f9060473482370cfba8400ffb10aa3c76cc9ff07d",
     "ost-recovery": "dbcd1f84cc4f883f4d6b28a5f1cb31aa1d3f301fdce103c111ad07b64fb54649",
     "weak-rip": "df00ab3be4c4d7833312377a98343e30801f0ef03c4a5d410e5d0a8bf45f70b0",
 }
@@ -82,8 +82,8 @@ def frame_files(tmp_path_factory):
 
 ANALYZE_DIGESTS = {
     "code": "c00c005238ef91b6dbef3dda2e93a0c25945ae52d8f2207fc21401b6ebfb3954",
-    "demo": "60e3eeec3b7c81a21070f83f7f52944ba0862cfa0787a9dde06418132bb000d3",
-    "gaussian": "f1f59c2735d217dbdec0016e2de917e256bc1ba7f4e1dda817f9fdb8bd90f5da",
+    "demo": "02f9871bcd1c6b71365b28bb9bf6ac569b757b09c9ccc1c3f666e0a4a17e57cb",
+    "gaussian": "10b415a01d71b79e6f0cb2f8d1dc78bcbc0a9f5ebc84c17e36749e8c3c6ce759",
     "harmonic": "216a13b9ba579135abf6e061bce72cae7d55af83c5ef83abe3130e080f305d5c",
 }
 

@@ -85,6 +85,18 @@ class TestGenerateProblem:
         mags = np.sort(np.abs(vals))[::-1]
         assert np.allclose(mags[:3], 8.0) and np.allclose(mags[3:], 0.5)
 
+    @pytest.mark.parametrize("bad", [-3.0, 0.0, math.nan, math.inf])
+    def test_amplitudes_reject_bad_magnitudes(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            FlatAmplitudes(bad)
+        with pytest.raises(ValueError, match="alpha"):
+            TwoTierAmplitudes(alpha=bad, low=0.5)
+        if bad != 0.0:
+            with pytest.raises(ValueError, match="low"):
+                TwoTierAmplitudes(alpha=8.0, low=bad)
+        else:
+            assert TwoTierAmplitudes(alpha=8.0, low=bad).low == 0.0
+
 
 class TestThreshold:
     def test_orthonormal_limit(self):
@@ -112,6 +124,10 @@ class TestThreshold:
             ost_threshold(0.1, 4, 1.0, 1.0, 16, t=1.0)
         with pytest.raises(ValueError, match="sigma2"):
             ost_threshold(0.1, 4, 1.0, 0.0, 16, t=0.5)
+        for snr in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="snr"):
+                ost_threshold(0.1, 4, snr, 1.0, 16, t=0.5)
+        assert ost_threshold(0.1, 4, 0.0, 1.0, 16, t=0.5) > 0
 
 
 class TestRecovery:
