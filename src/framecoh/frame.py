@@ -64,7 +64,7 @@ class Frame:
             if np.any(dev > UNIT_NORM_TOL):
                 bad = int(np.argmax(dev))
                 raise ValueError(
-                    f"column {bad} has norm {norms[bad]!r}; "
+                    f"column {bad} has norm {float(norms[bad])!r}; "
                     f"not unit within {UNIT_NORM_TOL}"
                 )
         arr.setflags(write=False)

@@ -6,8 +6,11 @@ M*N whitespace-separated entries in column-major order, complex entries as
 stores the entries as little-endian 64-bit floats (real/imaginary pairs for
 complex frames), still column-major.
 
-Text entries are written with ``repr`` so real frames round-trip exactly;
-the binary variant round-trips exactly for both scalar fields.
+Entries may be separated by any whitespace (spaces, tabs, newlines, CRLF);
+the writer puts one column per line.  Text entries are written with ``repr``
+(shortest round-trip form) and the imaginary sign comes from its sign bit, so
+both formats round-trip bit-exactly for both scalar fields, the sign of zero
+included.
 """
 from __future__ import annotations
 
@@ -23,12 +26,6 @@ VERSION = "v1"
 
 class FrameParseError(ValueError):
     """Malformed frame file; messages carry 1-based line numbers."""
-
-
-def _format_complex(z: complex) -> str:
-    re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}i"
 
 
 def _parse_complex(tok: str) -> complex:
@@ -50,20 +47,23 @@ def write_frame(path, frame: Frame, binary: bool = False) -> None:
             else:
                 fh.write(flat.astype("<f8").tobytes())
         return
+    if frame.is_complex:
+        # re, the sign bit of im (so -0.0 keeps its sign), |im|
+        signs = np.where(np.signbit(flat.imag), "-", "+").tolist()
+        entries = map(
+            "".join,
+            zip(map(repr, flat.real.tolist()), signs, map(repr, np.abs(flat.imag).tolist())),
+        )
+        unit = "i"
+    else:
+        entries, unit = map(repr, flat.tolist()), ""
+    # one column per line: an entry ends in unit + " ", the last of a column in unit + "\n"
+    pieces = [""] * (2 * flat.size)
+    pieces[0::2] = entries
+    pieces[1::2] = ([unit + " "] * (m - 1) + [unit + "\n"]) * n
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        if frame.is_complex:
-            cols = (
-                " ".join(_format_complex(z) for z in flat[c * m : (c + 1) * m])
-                for c in range(n)
-            )
-        else:
-            cols = (
-                " ".join(repr(float(x)) for x in flat[c * m : (c + 1) * m])
-                for c in range(n)
-            )
-        fh.write("\n".join(cols))
-        fh.write("\n")
+        fh.write("".join(pieces))
 
 
 def _parse_header(line: str, path) -> tuple[int, int, str, bool]:
@@ -89,11 +89,21 @@ def _parse_header(line: str, path) -> tuple[int, int, str, bool]:
     return m, n, field, binary
 
 
+def _first_bad_entry(text: str, parse) -> tuple[int, str]:
+    """File line number and token of the first entry ``parse`` rejects."""
+    for lineno, line in enumerate(text.splitlines(), start=2):
+        for tok in line.split():
+            try:
+                parse(tok)
+            except ValueError:
+                return lineno, tok
+
+
 def read_frame(path) -> Frame:
     """Read a frame file written by :func:`write_frame`.
 
     Column norms are validated but never rescaled, so the data round-trips
-    bit-for-bit through the binary format.
+    bit-for-bit through either format.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -126,29 +136,17 @@ def read_frame(path) -> Frame:
         text = raw[newline + 1 :].decode("ascii")
     except UnicodeDecodeError:
         raise FrameParseError(f"{path}: body is not ASCII text") from None
-    tokens: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=2):
-        tokens.extend((lineno, tok) for tok in line.split())
+    tokens = text.split()
     if len(tokens) != count:
         raise FrameParseError(f"{path}: expected {count} entries, found {len(tokens)}")
-    if field == COMPLEX:
-        flat = np.empty(count, dtype=np.complex128)
-        for idx, (lineno, tok) in enumerate(tokens):
-            try:
-                flat[idx] = _parse_complex(tok)
-            except ValueError:
-                raise FrameParseError(
-                    f"{path}: line {lineno}: cannot parse complex entry {tok!r}"
-                ) from None
-    else:
-        flat = np.empty(count, dtype=np.float64)
-        for idx, (lineno, tok) in enumerate(tokens):
-            try:
-                flat[idx] = float(tok)
-            except ValueError:
-                raise FrameParseError(
-                    f"{path}: line {lineno}: cannot parse real entry {tok!r}"
-                ) from None
+    parse, dtype = (_parse_complex, np.complex128) if field == COMPLEX else (float, np.float64)
+    try:
+        flat = np.array(list(map(parse, tokens)), dtype=dtype)
+    except ValueError:
+        lineno, tok = _first_bad_entry(text, parse)
+        raise FrameParseError(
+            f"{path}: line {lineno}: cannot parse {field} entry {tok!r}"
+        ) from None
     data = flat.reshape((m, n), order="F")
     try:
         return Frame(data, normalize=False)

@@ -90,6 +90,67 @@ def test_analyze_malformed_file_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def _identity_body(tok, bad_line, bad_tok):
+    # 8x8 identity, one column per line (file lines 2..9), one bad token
+    lines = []
+    for c in range(8):
+        toks = [tok(1.0 if r == c else 0.0) for r in range(8)]
+        if c + 2 == bad_line:
+            toks[2] = bad_tok
+        lines.append(" ".join(toks))
+    return "\n".join(lines) + "\n"
+
+
+def _bad_file(kind, path):
+    if kind == "nan":
+        path.write_text("FRAME v1 2 2 real\n1.0 0.0\n0.0 nan\n")
+    elif kind == "inf":
+        path.write_text("FRAME v1 2 2 complex\n1.0+0.0i 0.0+0.0i\n0.0+0.0i inf+0.0i\n")
+    elif kind == "bad-real":
+        path.write_text("FRAME v1 8 8 real\n" + _identity_body(repr, 7, "0.0.1"))
+    elif kind == "bad-complex":
+        path.write_text("FRAME v1 8 8 complex\n"
+                        + _identity_body(lambda x: f"{x!r}+0.0i", 8, "0.0+0.0"))
+    elif kind == "too-few":
+        path.write_text("FRAME v1 2 2 real\n1.0 0.0 0.0\n")
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "non-ascii":
+        path.write_bytes("FRAME v1 1 1 real\n1.0\u00a0\n".encode("utf-8"))
+    elif kind == "short-binary":
+        write_frame(path, Frame(np.eye(3), normalize=False), binary=True)
+        path.write_bytes(path.read_bytes()[:-8])
+    elif kind == "missing":
+        pass
+    elif kind == "directory":
+        path.mkdir()
+
+
+BAD_FILE_MESSAGES = {
+    "nan": "{path}: frame entries must be finite",
+    "inf": "{path}: frame entries must be finite",
+    "bad-real": "{path}: line 7: cannot parse real entry '0.0.1'",
+    "bad-complex": "{path}: line 8: cannot parse complex entry '0.0+0.0'",
+    "too-few": "{path}: expected 4 entries, found 3",
+    "empty": "{path}: line 1: missing header line",
+    "non-ascii": "{path}: body is not ASCII text",
+    "short-binary": "{path}: expected 72 payload bytes, found 64",
+    "missing": "[Errno 2] No such file or directory: '{path}'",
+    "directory": "[Errno 21] Is a directory: '{path}'",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILE_MESSAGES))
+def test_analyze_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
+    path = tmp_path / "bad.frame"
+    _bad_file(kind, path)
+    rc = main(["analyze", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + BAD_FILE_MESSAGES[kind].format(path=path) + "\n"
+
+
 def test_flip_demo_prints_pattern(tmp_path, capsys):
     out = tmp_path / "flipped.frame"
     pat = tmp_path / "pattern.txt"

@@ -16,6 +16,59 @@ def test_text_round_trip_real_exact(tmp_path):
     assert g.scalar_field == "real"
 
 
+def _bits(a):
+    # np.array_equal on floats treats 0.0 and -0.0 as equal; the bits do not
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+TINY = 5e-324  # smallest subnormal
+
+
+@pytest.mark.parametrize(
+    "entries, first_tokens",
+    [
+        (
+            [
+                [complex(0.6, -0.0), complex(1e-300, 0.0)],
+                [complex(-0.0, 0.8), complex(-0.0, -0.0)],
+                [complex(TINY, 0.0), complex(0.0, -TINY)],
+                [complex(-0.0, -1e-300), complex(-1.0, -0.0)],
+            ],
+            ["0.6-0.0i", "-0.0+0.8i", "5e-324+0.0i", "-0.0-1e-300i"],
+        ),
+        (
+            [[-0.0, 1.0], [1.0, TINY], [-1e-300, -0.0]],
+            ["-0.0", "1.0", "-1e-300", "1.0"],
+        ),
+    ],
+    ids=["complex", "real"],
+)
+def test_text_round_trip_signed_zero_bit_exact(tmp_path, entries, first_tokens):
+    f = Frame(np.array(entries), normalize=False)
+    path = tmp_path / "z.frame"
+    write_frame(path, f)
+    assert path.read_text().split()[5:9] == first_tokens
+    assert np.array_equal(_bits(f.data), _bits(read_frame(path).data))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_text_layout_is_free_whitespace(tmp_path, cplx):
+    f = random_frame(4, 6, seed=9, complex_=cplx)
+    path = tmp_path / "w.frame"
+    write_frame(path, f)
+    header, *columns = path.read_text().splitlines()
+    tokens = " ".join(columns).split()
+    layouts = {
+        "one line": header + "\n" + " ".join(tokens) + "\n",
+        "one entry per line": header + "\n" + "\n".join(tokens) + "\n",
+        "crlf": header + "\r\n" + "\r\n".join(columns) + "\r\n",
+        "tabs": header + "\n" + "\t".join(tokens) + "\t\n",
+    }
+    for name, text in layouts.items():
+        path.write_bytes(text.encode("ascii"))
+        assert np.array_equal(_bits(f.data), _bits(read_frame(path).data)), name
+
+
 def test_text_round_trip_complex_exact(tmp_path):
     f = random_frame(4, 6, seed=5, complex_=True)
     path = tmp_path / "c.frame"
@@ -76,7 +129,7 @@ def test_wrong_entry_count(tmp_path):
 def test_non_unit_column_rejected(tmp_path):
     path = tmp_path / "norm.frame"
     path.write_text("FRAME v1 2 2 real\n2.0 0.0\n0.0 1.0\n")
-    with pytest.raises(FrameParseError, match="norm"):
+    with pytest.raises(FrameParseError, match="norm 2.0;"):
         read_frame(path)
 
 

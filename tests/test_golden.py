@@ -1,8 +1,9 @@
-"""Frozen SHA-256 digests of every experiment CSV and of the CLI's CSV files.
+"""Frozen SHA-256 digests of every experiment CSV, the CLI's CSV files and
+the frame files `write_frame` and `framecoh flip` produce.
 
-A digest moves when any printed digit of its CSV moves, so refactors must
-leave every value here unchanged.  A change that alters a CSV on purpose
-records the new digest and says why in CHANGES.md.  The digests were taken
+A digest moves when any byte of its file moves, so refactors must leave
+every value here unchanged.  A change that alters a CSV or a frame file on
+purpose records the new digest and says why in CHANGES.md.  The digests were taken
 with numpy's OpenBLAS build on x86-64; another BLAS may round differently.
 """
 import hashlib
@@ -124,3 +125,41 @@ def test_recover_csv_digest(case, frame_files, tmp_path, capsys):
     out = tmp_path / "recover.csv"
     assert main(["recover", str(frame_files[frame_name]), *argv, "-o", str(out)]) == 0
     assert _digest(out.read_text()) == RECOVER_DIGESTS[case]
+
+
+def _file_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+FRAME_FILE_DIGESTS = {
+    "code": "9d33e37565cb15ea9fd73522dc74525894c18ead5757f45d5722e7406cbdfcb5",
+    "gaussian": "7292faa6cfbf0e882c8ff6df1f3bbf83741431780691951d84dad21947968e72",
+    "harmonic": "928c2e2a472a89483347287f25202b8fdf529bf70b6fe9963dc1b89c396f5b98",
+    "identity": "757f39151c2b44bf94289e996210b1a1da85cff87f6e43b138f6e8d1bdd3068b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_FILE_DIGESTS))
+def test_text_frame_file_digest(name, frame_files):
+    assert _file_digest(frame_files[name]) == FRAME_FILE_DIGESTS[name]
+
+
+def test_binary_frame_file_digest(tmp_path):
+    path = tmp_path / "code.frame"
+    write_frame(path, _frames()["code"], binary=True)
+    assert _file_digest(path) == (
+        "0967181d0af46881cb425076193653b0ecd7ff85324be61ce9d642d85bc0150d"
+    )
+
+
+FLIP_FILE_DIGESTS = {
+    "gaussian": "a616ed7e0168312a582a9ba676e00384572f4d3a62a1224a0b0a3866109e9ece",
+    "harmonic": "8610b6ee60c7135c8c5d36c79fa11cb281b9188b63997c50f79d03355e73a1d8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLIP_FILE_DIGESTS))
+def test_flip_frame_file_digest(name, frame_files, tmp_path, capsys):
+    out = tmp_path / "flipped.frame"
+    assert main(["flip", str(frame_files[name]), "-o", str(out)]) == 0
+    assert _file_digest(out) == FLIP_FILE_DIGESTS[name]
