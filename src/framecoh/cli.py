@@ -1,7 +1,11 @@
 """Command-line interface: construct, analyze, flip, recover, bounds, experiment.
 
 Exit codes: 0 on success/pass, 1 when an experiment's gate fails, 2 for
-usage, configuration, or input-file errors.
+usage, configuration, or input-file errors, and for a frame too large for
+the memory a command needs (for example the dense N x N Gram that `analyze`
+and `recover` form for a frame read from a file).  Apart from argparse's
+usage errors, an exit 2 prints one ``error: ...`` line to stderr and no
+traceback.
 
 The environment variable FRAMECOH_THREADS caps BLAS parallelism; it is
 applied before numpy is imported, so it only takes effect when the CLI
@@ -339,8 +343,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Frame
+from .frame import Frame, _GroupFrame
 from .gf2m import GF2m, least_irreducible
 
 #: Hard cap on the number of code-frame columns (2^((t+1)m)).
@@ -84,7 +84,8 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     The row-k, column-l entry of the non-normalized DFT is
     exp(2*pi*i*k*l/N); the product k*l is reduced mod N in exact integer
     arithmetic and indexes a table of the N roots of unity, so phases stay
-    accurate for large N and only N exponentials are evaluated.
+    accurate for large N and only N exponentials are evaluated.  The result
+    is a group frame (see `xor_stationary_coherence`).
     """
     rows = np.asarray(sorted(set(int(r) for r in np.asarray(rows).ravel())), dtype=np.int64)
     if rows.size == 0:
@@ -94,7 +95,7 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     cols = np.arange(dft_size, dtype=np.int64)
     # every entry has modulus 1, so normalization just divides by sqrt(#rows)
     roots = np.exp(2j * np.pi * cols / dft_size) / math.sqrt(rows.size)
-    return Frame(roots[(rows[:, None] * cols[None, :]) % dft_size], normalize=False)
+    return _GroupFrame(roots[(rows[:, None] * cols[None, :]) % dft_size], normalize=False)
 
 
 def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:
@@ -150,7 +151,8 @@ def build_code_frame(spec: CodeFrameSpec) -> Frame:
     Rows are indexed by the field elements x = 0 .. 2^m - 1; columns by
     (t+1)-tuples alpha encoded as c = sum_i alpha_i * 2^(i*m), so alpha_0
     varies fastest.  The sign of entry (x, c) is
-    (-1)^Tr(alpha_0*x + sum_{i>=1} alpha_i * x^(2^i + 1)).
+    (-1)^Tr(alpha_0*x + sum_{i>=1} alpha_i * x^(2^i + 1)).  The result is a
+    group frame (see `xor_stationary_coherence`).
     """
     n_cols = spec.cols
     if n_cols > MAX_CODE_COLUMNS:
@@ -180,19 +182,21 @@ def build_code_frame(spec: CodeFrameSpec) -> Frame:
     data = np.where(bits, -scale, scale).reshape(size, n_cols)
     del bits  # Frame copies data; do not hold the sign bits alongside both
     # column norms: 2^m equal squares summing to 1 up to one rounding of scale^2
-    return Frame(data, normalize=False)
+    return _GroupFrame(data, normalize=False)
 
 
 def xor_stationary_coherence(frame: Frame) -> tuple[float, float]:
-    """(mu, nu) for a frame whose Gram depends only on the XOR of indices.
+    """(mu, nu) of a group frame from the first row of its Gram.
 
-    Code-based frames have <f_a, f_b> = w(a XOR b) with w the inner product
-    against column zero, so the full N x N Gram never needs to be formed:
-    mu is the largest |w(c)| over c != 0 and every Gram row sums to the same
-    value sum_{c != 0} w(c).  Validated against the generic operations on
-    small instances in the test suite.
+    The frame must be one whose Gram entry <f_a, f_b> is w(b - a mod N), as
+    for a harmonic frame (the cyclic group Z_N), or w(a XOR b), as for a
+    code frame (the group (Z_2)^((t+1)m)).  Then w = F^H f_0 is the first
+    Gram row, computed with one float64 matrix-vector product: mu is the
+    largest |w(c)| over c != 0, and every Gram row sums to the same value
+    sum_{c != 0} w(c), so nu is its modulus over N - 1.  The N x N Gram is
+    never formed.  On any other frame the values are those of row 0 only.
     """
-    w = frame.data.T @ frame.data[:, 0]
+    w = frame.data.T @ frame.data[:, 0].conj()
     n = frame.cols
     mu = float(np.max(np.abs(w[1:])))
     nu = float(abs(w.sum() - w[0]) / (n - 1))

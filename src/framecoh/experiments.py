@@ -22,7 +22,6 @@ from .constructions import (
     build_code_frame,
     build_gaussian,
     build_harmonic,
-    xor_stationary_coherence,
 )
 from .equivalence import exhaustive_flip_oracle, linear_time_flip
 from .frame import Frame, coherence, spectral_norm
@@ -207,7 +206,7 @@ def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2)), seed=0) -> Experim
         frame = build_code_frame(spec)
         sn2 = spectral_norm(frame) ** 2
         norm2_err = abs(sn2 - 2 ** (t * m))
-        mu, nu = xor_stationary_coherence(frame)
+        mu, nu = coherence(frame)
         mu_bound = 1.0 / math.sqrt(2 ** (m - 2 * t - 1))
         nu_bound = mu / math.sqrt(2**m)
         # 1e-12 headroom covers float rounding only; the inequalities are exact
@@ -305,7 +304,7 @@ def run_weak_rip(
     frame = build_code_frame(spec)
     n = frame.cols
     ln = math.log(n)
-    mu, _ = xor_stationary_coherence(frame)
+    mu, _ = coherence(frame)
     if 2 * code_k * ln > frame.rows:
         raise ValueError("2 K ln N exceeds M; pick a smaller K")
     delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)

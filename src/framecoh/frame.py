@@ -104,6 +104,17 @@ class Frame:
         return f"Frame({self.rows}x{self.cols}, {self.scalar_field})"
 
 
+class _GroupFrame(Frame):
+    """Frame whose Gram is fixed by its first row.
+
+    Only the harmonic and code constructions return it: their Gram entry
+    <f_a, f_b> depends only on b - a mod N or on a XOR b.  Transforms and
+    the file reader build a plain `Frame`, which never has this type.
+    """
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class CoherenceReport:
     """Geometry summary of a frame plus the two strong-coherence verdicts."""
@@ -125,13 +136,23 @@ def gram(frame: Frame) -> np.ndarray:
 
 
 def coherence(frame: Frame) -> tuple[float, float]:
-    """Worst-case and average coherence (mu, nu) from one Gram evaluation.
+    """Worst-case and average coherence (mu, nu).
 
     mu is the largest |<f_i, f_j>| over distinct column pairs; nu is
-    max_i |sum_{j != i} <f_i, f_j>| scaled by 1/(N-1).
+    max_i |sum_{j != i} <f_i, f_j>| scaled by 1/(N-1).  Harmonic and code
+    frames as constructed are group frames and take the O(MN) path of
+    `constructions.xor_stationary_coherence`, which reads both values off
+    the first Gram row.  Every other frame, including one read from a file
+    or produced by a flip or wiggle, takes one dense N x N Gram.
     """
     if frame.cols < 2:
         raise ValueError("coherence undefined for a single vector")
+    if isinstance(frame, _GroupFrame):
+        # imported here because constructions imports this module; called
+        # through the module so that perfbench's tracer sees the call
+        from . import constructions
+
+        return constructions.xor_stationary_coherence(frame)
     g = gram(frame)
     absg = np.abs(g)
     np.fill_diagonal(absg, 0.0)
@@ -216,8 +237,10 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
 def scp_check(frame: Frame, tol: float = 1e-10) -> CoherenceReport:
     """Coherence report with the two strong-coherence verdicts.
 
-    The first verdict compares mu against 1/(164 ln N) -- natural log, see
-    README -- and the second compares nu against mu/sqrt(M).
+    mu and nu come from `coherence`, so constructed harmonic and code frames
+    never form the N x N Gram; other frames do.  The first verdict compares
+    mu against 1/(164 ln N) -- natural log, see README -- and the second
+    compares nu against mu/sqrt(M).
     """
     mu, nu = coherence(frame)
     sn = spectral_norm(frame, tol)

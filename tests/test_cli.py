@@ -8,6 +8,7 @@ from framecoh import (
     Frame,
     bound_table,
     build_gaussian,
+    run_experiment,
     read_frame,
     scp_check,
     write_frame,
@@ -335,3 +336,28 @@ def test_thread_cap_env_export(monkeypatch):
 
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["MKL_NUM_THREADS"] == "8"
+
+
+def test_construct_code_6_2_binary(tmp_path, capsys):
+    # 64 x 262144: the dense Gram would need 512 GiB; the group path needs none
+    out = tmp_path / "c62.frame"
+    assert main(["construct", "code", "-m", "6", "-t", "2", "--binary", "-o", str(out)]) == 0
+    text = capsys.readouterr().out
+    row = run_experiment("code-geometry", cases=((6, 2),)).rows[0]
+    mu, nu = row[5], row[7]
+    assert f"worst-case coherence mu   = {mu:.12g}\n" in text
+    assert f"average coherence nu      = {nu:.12g}\n" in text
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["recover", "--sigma2", "1"]],
+                         ids=["analyze", "recover"])
+def test_frame_too_wide_for_dense_gram_exit_2(tmp_path, capsys, argv):
+    # a 1 x 300000 +/-1 frame is 2.4 MB, but its dense Gram would be 671 GiB
+    path = tmp_path / "wide.frame"
+    signs = np.where(np.random.default_rng(0).random((1, 300000)) < 0.5, -1.0, 1.0)
+    write_frame(path, Frame(signs, normalize=False), binary=True)
+    rc = main([argv[0], str(path), *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
