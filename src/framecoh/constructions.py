@@ -58,7 +58,7 @@ def build_gaussian(spec: GaussianFrameSpec) -> Frame:
             break
         warnings.warn(f"resampling {tiny.size} near-zero Gaussian column(s)", RuntimeWarning)
         g[:, tiny] = rng.standard_normal((spec.rows, tiny.size))
-    return Frame(g)
+    return Frame._own(g)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,9 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     cols = np.arange(dft_size, dtype=np.int64)
     # every entry has modulus 1, so normalization just divides by sqrt(#rows)
     roots = np.exp(2j * np.pi * cols / dft_size) / math.sqrt(rows.size)
-    return _GroupFrame(roots[(rows[:, None] * cols[None, :]) % dft_size], normalize=False)
+    idx = rows[:, None] * cols[None, :]
+    idx %= dft_size
+    return _GroupFrame._own(roots[idx], normalize=False)
 
 
 def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:
@@ -180,9 +182,9 @@ def build_code_frame(spec: CodeFrameSpec) -> Frame:
 
     scale = 2.0 ** (-spec.m / 2.0)
     data = np.where(bits, -scale, scale).reshape(size, n_cols)
-    del bits  # Frame copies data; do not hold the sign bits alongside both
+    del bits  # the frame takes over data; drop the sign bits before its checks
     # column norms: 2^m equal squares summing to 1 up to one rounding of scale^2
-    return _GroupFrame(data, normalize=False)
+    return _GroupFrame._own(data, normalize=False)
 
 
 def xor_stationary_coherence(frame: Frame) -> tuple[float, float]:

@@ -72,14 +72,14 @@ def apply_wiggle(frame: Frame, pattern: WigglePattern) -> Frame:
     """Multiply column n by phases[n]; the result is wiggling equivalent."""
     if len(pattern) != frame.cols:
         raise ValueError(f"pattern length {len(pattern)} != frame columns {frame.cols}")
-    return Frame(frame.data * pattern.phases[None, :], normalize=False)
+    return Frame._own(frame.data * pattern.phases[None, :], normalize=False)
 
 
 def apply_flip(frame: Frame, pattern: FlipPattern) -> Frame:
     """Multiply column n by signs[n].  Exact: +/-1 scaling never rounds."""
     if len(pattern) != frame.cols:
         raise ValueError(f"pattern length {len(pattern)} != frame columns {frame.cols}")
-    return Frame(frame.data * pattern.signs[None, :], normalize=False)
+    return Frame._own(frame.data * pattern.signs[None, :], normalize=False)
 
 
 def linear_time_flip(frame: Frame) -> tuple[Frame, FlipPattern]:

@@ -64,6 +64,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _require_trials(**counts: int) -> None:
+    """Reject trial counts below 1, which would leave a gate with no evidence."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+
+
 def _cell(v) -> str:
     if v is None:
         return ""
@@ -101,6 +108,7 @@ class ExperimentReport:
 
 def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> ExperimentReport:
     """One-sided checks of the three normalized-Gaussian geometry bounds."""
+    _require_trials(trials=trials)
     ln = math.log(cols)
     d_mu = math.sqrt(rows) - math.sqrt(12.0 * ln)
     d_nu = rows - math.sqrt(12.0 * rows * ln)
@@ -149,6 +157,7 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
 
 def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> ExperimentReport:
     """Unconditional tightness plus the three probabilistic harmonic checks."""
+    _require_trials(trials=trials)
     n, m = dft_size, target_rows
     ln = math.log(n)
     bound_iii = math.sqrt(118.0 * (n - m) * ln / (m * n))
@@ -234,6 +243,7 @@ def run_flip_guarantee(
     oracle_trials=20,
 ) -> ExperimentReport:
     """Greedy-flip average-coherence guarantee plus an exhaustive-oracle check."""
+    _require_trials(trials=trials, oracle_trials=oracle_trials)
     threshold = rows * rows + 3 * rows + 3
     out_rows = []
     greedy_ok = 0
@@ -290,7 +300,7 @@ def run_weak_rip(
 
     # orthonormal basis: energy is preserved exactly; delta stands in for 0
     # with just enough room for float rounding
-    basis = Frame(np.eye(orth_dim), normalize=False)
+    basis = Frame._own(np.eye(orth_dim), normalize=False)
     rng = np.random.default_rng(trial_seed(seed, 0))
     support = np.sort(rng.choice(orth_dim, orth_k, replace=False))
     x0 = SparseSignal(orth_dim, support, np.exp(2j * np.pi * rng.random(orth_k)))
@@ -353,6 +363,7 @@ def run_ost_recovery(
     sanity_trials=100,
 ) -> ExperimentReport:
     """Monte Carlo check of the OST support-containment + error-bound event."""
+    _require_trials(trials=trials, sanity_trials=sanity_trials)
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
     mu, _ = coherence(frame)
     sn = spectral_norm(frame)
@@ -389,7 +400,7 @@ def run_ost_recovery(
 
     # noiseless orthonormal sanity: any threshold below the smallest magnitude
     # recovers the signal exactly
-    basis = Frame(np.eye(sanity_dim), normalize=False)
+    basis = Frame._own(np.eye(sanity_dim), normalize=False)
     sanity_ok = 0
     for i in range(sanity_trials):
         x, y = generate_problem(

@@ -4,6 +4,9 @@ A frame is stored as a dense M x N matrix whose columns are the frame
 elements.  All quantities derived here (worst-case coherence, average
 coherence, spectral norm) are pure functions of the frame; instances are
 immutable after construction and safe to share between threads.
+``Frame(data)`` stores a copy of ``data``; the package's own builders,
+transforms and file reader hand over the array they built instead, so each
+frame is built once.
 """
 from __future__ import annotations
 
@@ -26,6 +29,12 @@ _START_SEED = 0x5EED_F0A3
 class Frame:
     """M x N matrix with unit-norm columns.
 
+    ``Frame(data)`` copies ``data``, so the caller may keep writing to its
+    own array.  The package's builders, transforms and file reader instead
+    hand over the array they have just built through `Frame._own`, which
+    runs the same checks without the copy.  Either way the stored array is
+    read-only.
+
     Parameters
     ----------
     data : array_like
@@ -42,31 +51,59 @@ class Frame:
     __slots__ = ("data",)
 
     def __init__(self, data, normalize: bool = True):
-        arr = np.array(data, copy=True)
+        self._take(np.array(data, copy=True), normalize)
+
+    @classmethod
+    def _own(cls, arr: np.ndarray, normalize: bool = True):
+        """Frame of type ``cls`` that takes over ``arr`` without copying it.
+
+        For arrays the package has just built and no one else holds: the
+        checks of ``Frame(arr, normalize)`` run on ``arr`` itself, which is
+        normalized in place when ``normalize`` is True and then made
+        read-only.
+        """
+        frame = cls.__new__(cls)
+        frame._take(arr, normalize)
+        return frame
+
+    def _take(self, arr: np.ndarray, normalize: bool) -> None:
+        """Check ``arr``, normalize it in place if asked, and store it read-only.
+
+        Finiteness is read off the column norms, since a NaN or inf entry
+        makes its column's norm non-finite; only then are the entries
+        scanned.  In validate-only mode the squared norms are summed from
+        the real and imaginary views, with no frame-sized temporary.
+        """
         if arr.ndim != 2:
             raise ValueError(f"frame data must be 2-D, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"frame must be at least 1 x 1, got shape {arr.shape}")
-        if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128, copy=False)
-        else:
-            arr = arr.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame entries must be finite")
-        norms = np.linalg.norm(arr, axis=0)
+        cplx = np.iscomplexobj(arr)
+        arr = arr.astype(np.complex128 if cplx else np.float64, copy=False)
         if normalize:
+            norms = np.linalg.norm(arr, axis=0)
+        else:
+            parts = (arr.real, arr.imag) if cplx else (arr,)
+            norms = np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
+        finite = np.isfinite(norms)
+        if not finite.all() and not np.isfinite(arr).all():
+            raise ValueError("frame entries must be finite")
+        if normalize:
+            if not finite.all():  # finite entries whose squares overflow
+                bad = int(np.flatnonzero(~finite)[0])
+                raise ValueError(f"column {bad} has a norm that overflows float64")
             if np.any(norms == 0.0):
                 bad = int(np.flatnonzero(norms == 0.0)[0])
                 raise ValueError(f"column {bad} is exactly zero and cannot be normalized")
-            arr = arr / norms
-        else:
-            dev = np.abs(norms - 1.0)
-            if np.any(dev > UNIT_NORM_TOL):
-                bad = int(np.argmax(dev))
-                raise ValueError(
-                    f"column {bad} has norm {float(norms[bad])!r}; "
-                    f"not unit within {UNIT_NORM_TOL}"
-                )
+            np.divide(arr, norms, out=arr)
+        elif np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):  # an overflowed norm lands here
+            # the message reports the norms as np.linalg.norm gives them
+            norms = np.linalg.norm(arr, axis=0)
+            bad = int(np.argmax(np.abs(norms - 1.0)))
+            raise ValueError(
+                f"column {bad} has norm {float(norms[bad])!r}; "
+                f"not unit within {UNIT_NORM_TOL}"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -175,7 +212,8 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
 
     Runs Lanczos with full reorthogonalisation on the smaller of F F^H and
     F^H F, applied matrix-free as v -> F (F^H v) (or F^H (F v) when M > N),
-    so neither product is formed.  The start vector is drawn from a fixed
+    so neither product is formed.  F^H u is evaluated as conj(F^T conj(u)),
+    so F^H is never copied either.  The start vector is drawn from a fixed
     seed, so repeated calls on the same frame return identical values.
     After step j, let y be the computed top unit eigenvector of the Lanczos
     tridiagonal T_j, theta = y^T T_j y and y_j its last component: the Ritz
@@ -198,10 +236,11 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = frame.data
-    ah = a.conj().T
     m, n = a.shape
-    if m > n:
-        a, ah = ah, a
+
+    def adjoint(u):
+        return (a.T @ u.conj()).conj()
+
     dim = min(m, n)
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(dim)
@@ -212,7 +251,7 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
     betas: list[float] = []
     while True:
         q = np.array(basis)
-        w = a @ (ah @ basis[-1])
+        w = adjoint(a @ basis[-1]) if m > n else a @ adjoint(basis[-1])
         alphas.append(float(np.real(np.vdot(basis[-1], w))))
         for _ in range(2):  # classical Gram-Schmidt twice keeps the basis orthonormal
             w -= q.T @ (q.conj() @ w)

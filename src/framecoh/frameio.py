@@ -128,7 +128,7 @@ def read_frame(path) -> Frame:
         flat = np.frombuffer(body, dtype=dtype)
         data = flat.reshape((m, n), order="F")
         try:
-            return Frame(data, normalize=False)
+            return Frame._own(data, normalize=False)
         except ValueError as exc:
             raise FrameParseError(f"{path}: {exc}") from None
 
@@ -149,7 +149,7 @@ def read_frame(path) -> Frame:
         ) from None
     data = flat.reshape((m, n), order="F")
     try:
-        return Frame(data, normalize=False)
+        return Frame._own(data, normalize=False)
     except ValueError as exc:
         raise FrameParseError(f"{path}: {exc}") from None
 

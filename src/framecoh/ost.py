@@ -120,6 +120,8 @@ def generate_problem(
     ``noise.seed``.
     """
     n = frame.cols
+    if k < 0:
+        raise ValueError(f"K must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"sparsity K = {k} exceeds the signal length N = {n}")
     rng = np.random.default_rng(seed)

@@ -236,6 +236,20 @@ def test_experiment_config_unknown_key_exit_2(tmp_path, capsys):
     assert "valid keys: M, N, experiment, seed, trials" in captured.err
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize(
+    "name", ["gaussian-geometry", "harmonic-geometry", "ost-recovery", "flip-guarantee"]
+)
+def test_experiment_trials_below_one_exit_2(tmp_path, capsys, name, trials):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"trials={trials}\n")
+    rc = main(["experiment", name, "--config", str(cfg)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: trials must be >= 1, got {trials}\n"
+
+
 def test_read_config_file_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not key value\n")
@@ -267,6 +281,7 @@ def test_recover_csv_schema(tmp_path):
         (["--sigma2", "1.0", "--alpha", "-3"], "alpha"),
         (["--sigma2", "1.0", "--alpha", "0"], "alpha"),
         (["--sigma2", "1.0", "--amplitude", "two-tier", "--alpha", "nan"], "alpha"),
+        (["--sigma2", "1.0", "-K", "-1"], "K must be >= 0"),
     ],
 )
 def test_recover_bad_input_exit_2_before_output(tmp_path, capsys, argv, flag):

@@ -101,6 +101,10 @@ class TestFlipGuarantee:
         phases = {row[0] for row in report.rows}
         assert phases == {"greedy", "oracle"}
 
+    def test_oracle_trials_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^oracle_trials must be >= 1, got 0$"):
+            run_flip_guarantee(trials=1, oracle_trials=0)
+
 
 class TestWeakRip:
     def test_smoke(self):
@@ -122,6 +126,10 @@ class TestOstRecovery:
         assert report.stats["sanity_ok"] == 5
         header = report.csv_text().splitlines()[0]
         assert header == "trial,K,|Khat|,exact_support,l2_error,bound_rhs,ok"
+
+    def test_sanity_trials_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^sanity_trials must be >= 1, got 0$"):
+            run_ost_recovery(sanity_trials=0)
 
 
 class TestBoundsFigure:
