@@ -114,7 +114,7 @@ def _cmd_flip(args) -> int:
 
 def _cmd_recover(args) -> int:
     from .experiments import ExperimentReport, trial_seed, wilson_interval
-    from .frame import spectral_norm, worst_case_coherence
+    from .frame import worst_case_coherence
     from .frameio import read_frame
     from .ost import (
         OST_TRIAL_HEADER,
@@ -131,7 +131,6 @@ def _cmd_recover(args) -> int:
     frame = read_frame(args.frame)
     n = frame.cols
     mu = worst_case_coherence(frame)
-    sn = spectral_norm(frame)
     tau_sigma = noise_floor_threshold(args.sigma2, n, args.t)
     alpha = args.alpha if args.alpha is not None else args.alpha_factor * tau_sigma
     if args.amplitude == "flat":
@@ -141,7 +140,7 @@ def _cmd_recover(args) -> int:
 
     rows = [
         ost_trial(
-            frame, args.K, law, args.sigma2, args.t, mu, sn,
+            frame, args.K, law, args.sigma2, args.t, mu,
             index=i,
             signal_seed=trial_seed(args.seed, 2 * i),
             noise_seed=trial_seed(args.seed, 2 * i + 1),

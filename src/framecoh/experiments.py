@@ -109,6 +109,7 @@ class ExperimentReport:
 def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> ExperimentReport:
     """One-sided checks of the three normalized-Gaussian geometry bounds."""
     _require_trials(trials=trials)
+    GaussianFrameSpec(rows, cols)  # rejects bad sizes before the bound arithmetic
     ln = math.log(cols)
     d_mu = math.sqrt(rows) - math.sqrt(12.0 * ln)
     d_nu = rows - math.sqrt(12.0 * rows * ln)
@@ -159,6 +160,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
     """Unconditional tightness plus the three probabilistic harmonic checks."""
     _require_trials(trials=trials)
     n, m = dft_size, target_rows
+    HarmonicFrameSpec(n, m, seed)  # rejects bad sizes before the bound arithmetic
     ln = math.log(n)
     bound_iii = math.sqrt(118.0 * (n - m) * ln / (m * n))
     out_rows = []
@@ -295,6 +297,8 @@ def run_weak_rip(
     code_k=2,
 ) -> ExperimentReport:
     """Permutation-based energy preservation: orthonormal and code-based frames."""
+    if code_k < 0:
+        raise ValueError(f"K must be >= 0, got {code_k}")
     out_rows = []
     summary = []
 
@@ -364,6 +368,8 @@ def run_ost_recovery(
 ) -> ExperimentReport:
     """Monte Carlo check of the OST support-containment + error-bound event."""
     _require_trials(trials=trials, sanity_trials=sanity_trials)
+    if k < 0:
+        raise ValueError(f"K must be >= 0, got {k}")
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
     mu, _ = coherence(frame)
     sn = spectral_norm(frame)
@@ -380,7 +386,7 @@ def run_ost_recovery(
     khat_sizes = []
     for i in range(trials):
         row = ost_trial(
-            frame, k, law, sigma2, t_param, mu, sn,
+            frame, k, law, sigma2, t_param, mu,
             index=i,
             signal_seed=trial_seed(seed, 2 * i + 1),
             noise_seed=trial_seed(seed, 2 * i + 2),

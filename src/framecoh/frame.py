@@ -126,17 +126,6 @@ class Frame:
     def scalar_field(self) -> str:
         return COMPLEX if self.is_complex else REAL
 
-    def column(self, n: int) -> np.ndarray:
-        return self.data[:, n]
-
-    def rank(self, tol=None) -> int:
-        """Numerical rank of the frame matrix (rank M is not enforced)."""
-        return int(np.linalg.matrix_rank(np.asarray(self.data), tol=tol))
-
-    def is_tight(self, tol: float = 1e-9) -> bool:
-        """True when the squared spectral norm matches N/M within ``tol``."""
-        return abs(spectral_norm(self) ** 2 - self.cols / self.rows) <= tol
-
     def __repr__(self):
         return f"Frame({self.rows}x{self.cols}, {self.scalar_field})"
 

@@ -173,15 +173,11 @@ class GF2m:
         out.setflags(write=False)
         return out
 
-    def frobenius_power(self, a: np.ndarray | int, k: int):
-        """k-fold Frobenius: a -> a^(2^k), vectorised through the tables."""
-        z = np.asarray(a, dtype=np.int64)
+    def pow_2k_plus_1(self, a: np.ndarray | int, k: int):
+        """a^(2^k + 1): k Frobenius maps a -> a^2 followed by one multiplication."""
+        a = np.asarray(a, dtype=np.int64)
         mul = self.mul_table
+        z = a
         for _ in range(k):
             z = mul[z, z]
-        return z
-
-    def pow_2k_plus_1(self, a: np.ndarray | int, k: int):
-        """a^(2^k + 1): k Frobenius maps followed by one multiplication."""
-        z = np.asarray(a, dtype=np.int64)
-        return self.mul_table[self.frobenius_power(z, k), z]
+        return mul[z, a]

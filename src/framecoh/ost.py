@@ -152,15 +152,14 @@ def ost_threshold(mu: float, m: int, snr: float, sigma2: float, n: int, t: float
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """OST output: the selected support, the fitted signal and the threshold used."""
+    """OST output: the selected support and the fitted signal."""
 
     support_estimate: np.ndarray
     signal_estimate: np.ndarray
-    lam: float
     rank_deficient: bool = False
 
 
-def ost_recover(frame: Frame, y: np.ndarray, lam: float, rank_tol: float = 1e-10) -> RecoveryResult:
+def ost_recover(frame: Frame, y: np.ndarray, lam: float) -> RecoveryResult:
     """One-step thresholding: proxy z = F^H y, keep |z_n| > lam, least squares.
 
     A rank-deficient selected submatrix falls back to the minimum-norm
@@ -176,7 +175,7 @@ def ost_recover(frame: Frame, y: np.ndarray, lam: float, rank_tol: float = 1e-10
     rank_deficient = False
     if khat.size:
         sub = frame.data[:, khat]
-        sol, _, rank, _ = np.linalg.lstsq(sub, y.astype(dtype), rcond=rank_tol)
+        sol, _, rank, _ = np.linalg.lstsq(sub, y.astype(dtype), rcond=1e-10)
         if rank < khat.size:
             rank_deficient = True
             warnings.warn(
@@ -186,7 +185,7 @@ def ost_recover(frame: Frame, y: np.ndarray, lam: float, rank_tol: float = 1e-10
             )
         xhat[khat] = sol
     return RecoveryResult(
-        support_estimate=khat, signal_estimate=xhat, lam=lam, rank_deficient=rank_deficient
+        support_estimate=khat, signal_estimate=xhat, rank_deficient=rank_deficient
     )
 
 
@@ -224,66 +223,24 @@ def sparsity_regime_limit(n: int, spectral_norm: float) -> float:
 
 @dataclass(frozen=True)
 class RspReport:
-    """Evaluation of the reconstruction error bounds for one recovery."""
+    """Evaluation of the support error bound for one recovery."""
 
     l2_error: float
     support_rhs: float        # c2 sqrt(sigma^2 |Khat| ln N) + c3 ||x_{K \ Khat}||
     support_bound_ok: bool
-    tterm_rhs: float | None   # c2 sqrt(sigma^2 K ln N) + c3 ||x - x_T||
-    tterm_ok: bool | None
-    n_floor: int | None       # T = |T_sigma  intersect  T_mu|
-    regime_ok: bool | None    # K <= N / (c1^2 ||F||_2^2 ln N)
-    regime_limit: float | None
 
 
-def check_rsp_bounds(
-    result: RecoveryResult,
-    x,
-    k: int,
-    sigma2: float,
-    n: int,
-    spectral_norm: float | None = None,
-    floors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> RspReport:
-    """Evaluate the reconstruction error bounds and (optionally) the
-    sparsity-regime condition; ``result`` is left unchanged."""
+def check_rsp_bounds(result: RecoveryResult, x, sigma2: float) -> RspReport:
+    """Evaluate the support error bound, with N = len(x); ``result`` is left
+    unchanged."""
     dense = _as_dense(x)
-    support = np.flatnonzero(dense)
     khat = result.support_estimate
     err = float(np.linalg.norm(dense - result.signal_estimate))
-    missed = np.setdiff1d(support, khat)
-    rhs2 = OST_C2 * math.sqrt(sigma2 * khat.size * math.log(n)) + OST_C3 * float(
+    missed = np.setdiff1d(np.flatnonzero(dense), khat)
+    rhs = OST_C2 * math.sqrt(sigma2 * khat.size * math.log(dense.size)) + OST_C3 * float(
         np.linalg.norm(dense[missed])
     )
-    holds2 = err <= rhs2
-
-    tterm_rhs = tterm_ok = n_floor = None
-    if floors is not None:
-        fs, fm = floors
-        n_floor = int(np.intersect1d(fs, fm).size)
-        keep = np.argsort(np.abs(dense))[::-1][:n_floor]
-        x_t = np.zeros_like(dense)
-        x_t[keep] = dense[keep]
-        tterm_rhs = OST_C2 * math.sqrt(sigma2 * k * math.log(n)) + OST_C3 * float(
-            np.linalg.norm(dense - x_t)
-        )
-        tterm_ok = err <= tterm_rhs
-
-    regime_ok = regime_limit = None
-    if spectral_norm is not None:
-        regime_limit = sparsity_regime_limit(n, spectral_norm)
-        regime_ok = k <= regime_limit
-
-    return RspReport(
-        l2_error=err,
-        support_rhs=rhs2,
-        support_bound_ok=holds2,
-        tterm_rhs=tterm_rhs,
-        tterm_ok=tterm_ok,
-        n_floor=n_floor,
-        regime_ok=regime_ok,
-        regime_limit=regime_limit,
-    )
+    return RspReport(l2_error=err, support_rhs=rhs, support_bound_ok=err <= rhs)
 
 
 #: Columns of the per-trial CSV row returned by :func:`ost_trial`.
@@ -297,7 +254,6 @@ def ost_trial(
     sigma2: float,
     t: float,
     mu: float,
-    spectral_norm: float,
     *,
     index: int,
     signal_seed: int,
@@ -312,6 +268,10 @@ def ost_trial(
     when None), recovers, and evaluates the floors and the error bounds.
     ok means the support estimate contains T_sigma intersect T_mu, lies
     inside the true support, and meets the support error bound.
+
+    ok also implies the paper's T-term bound c2 sqrt(sigma^2 K ln N) +
+    c3 ||x - x_T|| with T = T_sigma intersect T_mu: T within Khat within K
+    gives |Khat| <= K, and K \\ Khat misses T, so ||x_{K \\ Khat}|| <= ||x - x_T||.
     """
     x, y = generate_problem(
         frame, k, amplitude_law, NoiseModel(sigma2, seed=noise_seed), seed=signal_seed
@@ -322,10 +282,9 @@ def ost_trial(
             snr = snr_of(x, m, sigma2)
         lam = ost_threshold(mu, m, snr, sigma2, n, t)
     res = ost_recover(frame, y, lam)
-    floors = floor_sets(x, sigma2, mu, t)
-    rsp = check_rsp_bounds(res, x, k, sigma2, n, spectral_norm=spectral_norm, floors=floors)
+    rsp = check_rsp_bounds(res, x, sigma2)
     khat = res.support_estimate
-    must_find = np.intersect1d(floors[0], floors[1])
+    must_find = np.intersect1d(*floor_sets(x, sigma2, mu, t))
     contained = bool(np.all(np.isin(must_find, khat)) and np.all(np.isin(khat, x.support)))
     exact = bool(khat.size == k and np.array_equal(khat, x.support))
     ok = contained and rsp.support_bound_ok

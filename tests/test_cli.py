@@ -250,6 +250,28 @@ def test_experiment_trials_below_one_exit_2(tmp_path, capsys, name, trials):
     assert captured.err == f"error: trials must be >= 1, got {trials}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["harmonic-geometry", "-N", "16", "-M", "0", "--trials", "1"],
+         "need 1 <= target_rows <= dft_size"),
+        (["harmonic-geometry", "-N", "0", "-M", "0", "--trials", "1"],
+         "need 1 <= target_rows <= dft_size"),
+        (["ost-recovery", "-K", "-1", "--trials", "2"], "K must be >= 0, got -1"),
+        (["weak-rip", "-K", "-1", "--trials", "2"], "K must be >= 0, got -1"),
+        (["gaussian-geometry", "-N", "0", "--trials", "1"], "cols must be >= 2"),
+    ],
+    ids=["harmonic-M0", "harmonic-N0-M0", "ost-recovery-K-1", "weak-rip-K-1", "gaussian-N0"],
+)
+def test_experiment_bad_size_names_parameter_exit_2(capsys, argv, message):
+    # checked before any bound arithmetic, which would raise a bare math error
+    rc = main(["experiment", *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_read_config_file_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not key value\n")
@@ -293,6 +315,21 @@ def test_recover_bad_input_exit_2_before_output(tmp_path, capsys, argv, flag):
     assert captured.out == ""
     assert captured.err.startswith("error: " + flag)
     assert captured.err.count("\n") == 1
+
+
+def test_recover_needs_no_spectral_norm(tmp_path, capsys, monkeypatch):
+    from test_golden import RECOVER_CASES, RECOVER_DIGESTS, _digest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recover must not compute the spectral norm")
+
+    monkeypatch.setattr("framecoh.frame.spectral_norm", refuse)
+    frame_path = tmp_path / "identity.frame"
+    write_frame(frame_path, Frame(np.eye(16), normalize=False))
+    out = tmp_path / "recover.csv"
+    _, argv = RECOVER_CASES["identity-two-tier"]
+    assert main(["recover", str(frame_path), *argv, "-o", str(out)]) == 0
+    assert _digest(out.read_text()) == RECOVER_DIGESTS["identity-two-tier"]
 
 
 def test_recover_explicit_lambda_exact_on_identity(tmp_path, capsys):

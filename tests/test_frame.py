@@ -69,10 +69,10 @@ class TestConstruction:
 
     def test_rank_query(self):
         f = Frame(np.eye(4))
-        assert f.rank() == 4
+        assert np.linalg.matrix_rank(f.data) == 4
         # rank-deficient frames are allowed
         arr = np.ones((3, 5))
-        assert Frame(arr).rank() == 1
+        assert np.linalg.matrix_rank(Frame(arr).data) == 1
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -109,7 +109,7 @@ class TestGram:
         g = gram(f)
         for i in range(7):
             for j in range(7):
-                direct = np.vdot(f.column(i), f.column(j))
+                direct = np.vdot(f.data[:, i], f.data[:, j])
                 assert abs(g[i, j] - direct) <= 1e-12
 
 
@@ -194,7 +194,6 @@ class TestSpectralNorm:
     def test_mercedes_is_tight(self):
         sn = spectral_norm(mercedes_frame())
         assert sn == pytest.approx(math.sqrt(1.5), rel=1e-10)
-        assert mercedes_frame().is_tight()
 
     def test_full_dft_tight(self):
         n = 16

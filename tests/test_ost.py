@@ -11,9 +11,11 @@ from framecoh import (
     OST_C3,
     FlatAmplitudes,
     Frame,
+    GaussianFrameSpec,
     NoiseModel,
     SparseSignal,
     TwoTierAmplitudes,
+    build_gaussian,
     check_rsp_bounds,
     floor_sets,
     generate_problem,
@@ -21,8 +23,10 @@ from framecoh import (
     noise_floor_threshold,
     ost_recover,
     ost_threshold,
+    ost_trial,
     scp_check,
     snr_of,
+    trial_seed,
     weak_rip_estimate,
     worst_case_coherence,
 )
@@ -147,7 +151,7 @@ class TestRecovery:
         res = ost_recover(f, y, lam=float(np.abs(z).max()) + 1.0)
         assert res.support_estimate.size == 0
         assert np.all(res.signal_estimate == 0)
-        rsp = check_rsp_bounds(res, x, 3, 0.1, 20)
+        rsp = check_rsp_bounds(res, x, 0.1)
         assert rsp.l2_error == pytest.approx(np.linalg.norm(x.dense()), rel=1e-12)
 
     def test_proxy_scaling_invariance(self):
@@ -231,24 +235,66 @@ class TestErrorBounds:
         f = Frame(np.eye(16), normalize=False)
         x, y = generate_problem(f, 4, FlatAmplitudes(2.0), NoiseModel(0.0, seed=0), seed=1)
         res = ost_recover(f, y, lam=1.0)
-        rsp = check_rsp_bounds(res, x, 4, sigma2=0.1, n=16)
+        rsp = check_rsp_bounds(res, x, sigma2=0.1)
         assert rsp.l2_error <= 1e-12
         assert rsp.support_bound_ok
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rank-deficient fallback
-    def test_tterm_bound_with_floors(self):
+    def test_check_leaves_result_unchanged(self):
         f = random_frame(12, 24, seed=12)
-        mu = worst_case_coherence(f)
         x, y = generate_problem(f, 4, FlatAmplitudes(60.0), NoiseModel(1.0, seed=13), seed=14)
         res = ost_recover(f, y, lam=5.0)
         before = {key: np.copy(val) for key, val in vars(res).items()}
-        floors = floor_sets(x, 1.0, mu, 0.5)
-        rsp = check_rsp_bounds(res, x, 4, 1.0, 24, spectral_norm=2.0, floors=floors)
-        assert rsp.n_floor == np.intersect1d(*floors).size
-        assert rsp.tterm_rhs is not None and rsp.regime_limit is not None
-        # the check is pure: the recovery result it reads is left unchanged
+        check_rsp_bounds(res, x, 1.0)
         assert vars(res).keys() == before.keys()
         assert all(np.array_equal(val, before[key]) for key, val in vars(res).items())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rank-deficient fallback
+    @pytest.mark.parametrize("law_name", ["flat", "two-tier"])
+    @pytest.mark.parametrize("frame_name", ["gaussian-64x256", "gaussian-128x512", "identity-64"])
+    def test_ok_implies_tterm_bound(self, frame_name, law_name):
+        # ok (T within Khat within K, plus the support bound) implies the T-term
+        # bound c2 sqrt(sigma^2 K ln N) + c3 ||x - x_T||, T = T_sigma & T_mu,
+        # evaluated here from floor_sets alone
+        frame, k = {
+            "gaussian-64x256": (build_gaussian(GaussianFrameSpec(64, 256, 3)), 4),
+            "gaussian-128x512": (build_gaussian(GaussianFrameSpec(128, 512, 5)), 8),
+            # on the Gaussian frames T_mu, hence T, is empty at these sizes;
+            # mu = 0 makes T = T_sigma, so here T is nonempty
+            "identity-64": (Frame(np.eye(64), normalize=False), 6),
+        }[frame_name]
+        sigma2, t = 1.0, 0.5
+        n = frame.cols
+        mu = worst_case_coherence(frame)
+        alpha = 10.0 * noise_floor_threshold(sigma2, n, t)
+        law = {
+            "flat": FlatAmplitudes(alpha),
+            "two-tier": TwoTierAmplitudes(alpha, math.sqrt(2.0 * sigma2 * math.log(n))),
+        }[law_name]
+        oks = with_t = 0
+        for i in range(60):
+            signal_seed, noise_seed = trial_seed(7, 2 * i), trial_seed(7, 2 * i + 1)
+            *_, l2_error, _, ok = ost_trial(
+                frame, k, law, sigma2, t, mu, index=i, signal_seed=signal_seed,
+                noise_seed=noise_seed, lam=None, snr=None,
+            )
+            if not ok:
+                continue
+            x, _ = generate_problem(
+                frame, k, law, NoiseModel(sigma2, seed=noise_seed), seed=signal_seed
+            )
+            big = np.intersect1d(*floor_sets(x, sigma2, mu, t))
+            tail = x.dense()
+            tail[big] = 0.0
+            tterm_rhs = OST_C2 * math.sqrt(sigma2 * k * math.log(n)) + OST_C3 * float(
+                np.linalg.norm(tail)
+            )
+            assert l2_error <= tterm_rhs
+            oks += 1
+            with_t += big.size > 0
+        assert oks >= 30
+        if frame_name.startswith("identity"):
+            assert with_t == oks
 
     def test_tight_frame_regime_reduces_to_m_over_log(self):
         # with ||F||_2^2 = N/M the sparsity limit becomes M/(c1^2 ln N)
