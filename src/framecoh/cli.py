@@ -2,10 +2,9 @@
 
 Exit codes: 0 on success/pass, 1 when an experiment's gate fails, 2 for
 usage, configuration, or input-file errors, and for a frame too large for
-the memory a command needs (for example the dense N x N Gram that `analyze`
-and `recover` form for a frame read from a file).  Apart from argparse's
-usage errors, an exit 2 prints one ``error: ...`` line to stderr and no
-traceback.
+the memory a command needs (for example a frame file whose entries do not
+fit in memory once read).  Apart from argparse's usage errors, an exit 2
+prints one ``error: ...`` line to stderr and no traceback.
 
 The environment variable FRAMECOH_THREADS caps BLAS parallelism; it is
 applied before numpy is imported, so it only takes effect when the CLI

@@ -370,6 +370,8 @@ def run_ost_recovery(
     _require_trials(trials=trials, sanity_trials=sanity_trials)
     if k < 0:
         raise ValueError(f"K must be >= 0, got {k}")
+    if not (sigma2 > 0 and math.isfinite(sigma2)):
+        raise ValueError(f"sigma2 must be a positive finite number, got {sigma2!r}")
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
     mu, _ = coherence(frame)
     sn = spectral_norm(frame)

@@ -25,6 +25,10 @@ UNIT_NORM_TOL = 1e-10
 # frame return identical values.
 _START_SEED = 0x5EED_F0A3
 
+# Gram entries per block of the generic mu kernel: B = max(1, this // N)
+# rows, so a block holds at most this many entries (256 rows at N = 2048).
+_BLOCK_ENTRIES = 1 << 19
+
 
 class Frame:
     """M x N matrix with unit-norm columns.
@@ -83,8 +87,7 @@ class Frame:
         if normalize:
             norms = np.linalg.norm(arr, axis=0)
         else:
-            parts = (arr.real, arr.imag) if cplx else (arr,)
-            norms = np.sqrt(sum(np.einsum("ij,ij->j", p, p) for p in parts))
+            norms = np.sqrt(_squared_norms(arr))
         finite = np.isfinite(norms)
         if not finite.all() and not np.isfinite(arr).all():
             raise ValueError("frame entries must be finite")
@@ -130,6 +133,13 @@ class Frame:
         return f"Frame({self.rows}x{self.cols}, {self.scalar_field})"
 
 
+def _squared_norms(arr: np.ndarray) -> np.ndarray:
+    """Squared column norms, summed from the real and imaginary views so no
+    frame-sized temporary is made."""
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return sum(np.einsum("ij,ij->j", p, p) for p in parts)
+
+
 class _GroupFrame(Frame):
     """Frame whose Gram is fixed by its first row.
 
@@ -152,13 +162,16 @@ class CoherenceReport:
     scp2: bool
 
 
-def gram(frame: Frame) -> np.ndarray:
-    """N x N matrix of inner products between the frame elements.
+def gram(frame: Frame, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Inner products of the columns ``start:stop`` with the columns ``start:``.
 
-    Computed as F^H F, so the result is conjugate-symmetric with a unit
+    Returns F[:, start:stop]^H F[:, start:], a block of rows of the Gram
+    F^H F whose entry (i, j) is <f_{start+i}, f_{start+j}>.  With the default
+    range it is the whole N x N Gram, conjugate-symmetric with a unit
     diagonal (up to rounding) for unit-norm frames.
     """
-    return frame.data.conj().T @ frame.data
+    a = frame.data
+    return a[:, start:stop].conj().T @ a[:, start:]
 
 
 def coherence(frame: Frame) -> tuple[float, float]:
@@ -169,7 +182,11 @@ def coherence(frame: Frame) -> tuple[float, float]:
     frames as constructed are group frames and take the O(MN) path of
     `constructions.xor_stationary_coherence`, which reads both values off
     the first Gram row.  Every other frame, including one read from a file
-    or produced by a flip or wiggle, takes one dense N x N Gram.
+    or produced by a flip or wiggle, gets mu as a running max over the
+    upper block triangle of the Gram, one `gram` block of B rows at a time
+    with B = max(1, 2^19 // N), so no N x N array is formed.  Its nu is
+    read off F^H (F 1), whose entry i is the whole Gram row sum
+    sum_j <f_i, f_j>, minus the squared norm of f_i: O(MN) time and memory.
     """
     if frame.cols < 2:
         raise ValueError("coherence undefined for a single vector")
@@ -179,11 +196,16 @@ def coherence(frame: Frame) -> tuple[float, float]:
         from . import constructions
 
         return constructions.xor_stationary_coherence(frame)
-    g = gram(frame)
-    absg = np.abs(g)
-    np.fill_diagonal(absg, 0.0)
-    off = g.sum(axis=1) - np.diag(g)
-    return float(absg.max()), float(np.max(np.abs(off)) / (frame.cols - 1))
+    a = frame.data
+    n = frame.cols
+    step = max(1, _BLOCK_ENTRIES // n)
+    mu = 0.0
+    for start in range(0, n, step):
+        block = gram(frame, start, start + step)
+        np.fill_diagonal(block, 0.0)  # entry (i, i) of a block is <f, f>
+        mu = max(mu, float(np.abs(block).max()))
+    row_sums = (a.sum(axis=1).conj() @ a).conj()
+    return mu, float(np.max(np.abs(row_sums - _squared_norms(a))) / (n - 1))
 
 
 def worst_case_coherence(frame: Frame) -> float:
@@ -265,10 +287,9 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
 def scp_check(frame: Frame, tol: float = 1e-10) -> CoherenceReport:
     """Coherence report with the two strong-coherence verdicts.
 
-    mu and nu come from `coherence`, so constructed harmonic and code frames
-    never form the N x N Gram; other frames do.  The first verdict compares
-    mu against 1/(164 ln N) -- natural log, see README -- and the second
-    compares nu against mu/sqrt(M).
+    mu and nu come from `coherence`, so no frame forms the N x N Gram.  The
+    first verdict compares mu against 1/(164 ln N) -- natural log, see
+    README -- and the second compares nu against mu/sqrt(M).
     """
     mu, nu = coherence(frame)
     sn = spectral_norm(frame, tol)

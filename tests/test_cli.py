@@ -1,13 +1,16 @@
 """CLI surface: subcommands, exit codes, file round trips, config files."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import framecoh.frame
 from framecoh import (
     Frame,
     bound_table,
     build_gaussian,
+    coherence,
     run_experiment,
     read_frame,
     scp_check,
@@ -272,6 +275,19 @@ def test_experiment_bad_size_names_parameter_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_ost_recovery_bad_sigma2_exit_2(capsys, value):
+    # checked before the noise-floor arithmetic, which would raise a bare
+    # math error (or fail later on the amplitude it derives)
+    rc = main(["experiment", "ost-recovery", "--sigma2", value, "--trials", "2"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sigma2 must be a positive finite number, got {float(value)!r}\n"
+    )
+
+
 def test_read_config_file_errors(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not key value\n")
@@ -403,13 +419,49 @@ def test_construct_code_6_2_binary(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["analyze"], ["recover", "--sigma2", "1"]],
                          ids=["analyze", "recover"])
-def test_frame_too_wide_for_dense_gram_exit_2(tmp_path, capsys, argv):
-    # a 1 x 300000 +/-1 frame is 2.4 MB, but its dense Gram would be 671 GiB
-    path = tmp_path / "wide.frame"
-    signs = np.where(np.random.default_rng(0).random((1, 300000)) < 0.5, -1.0, 1.0)
-    write_frame(path, Frame(signs, normalize=False), binary=True)
-    rc = main([argv[0], str(path), *argv[1:]])
+def test_memory_error_exit_2(capsys, monkeypatch, argv):
+    def exhausted(frame):
+        raise MemoryError("Unable to allocate 512. GiB")
+
+    monkeypatch.setattr(framecoh.frame, "coherence", exhausted)
+    rc = main([argv[0], str(flip_demo_path()), *argv[1:]])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 512. GiB\n"
+
+
+def _wide_binary_frame(path):
+    # 4 x 8192 entries +-1/2: its dense Gram would take 512 MiB, and every
+    # Gram entry and row sum is exact in float64, in any summation order
+    signs = np.where(np.random.default_rng(0).random((4, 8192)) < 0.5, -0.5, 0.5)
+    write_frame(path, Frame(signs, normalize=False), binary=True)
+    return read_frame(path)
+
+
+def test_analyze_wide_frame_matches_dense(tmp_path, capsys):
+    path = tmp_path / "wide.frame"
+    f = _wide_binary_frame(path).data
+    n = f.shape[1]
+    mu = nu = 0.0
+    for start in range(0, n, 512):  # the full Gram, 512 of its rows at a time
+        g = f[:, start:start + 512].T @ f
+        rows = np.arange(g.shape[0])
+        off = g.sum(axis=1) - g[rows, start + rows]
+        g[rows, start + rows] = 0.0
+        mu = max(mu, float(np.abs(g).max()))
+        nu = max(nu, float(np.abs(off).max()) / (n - 1))
+    assert main(["analyze", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert f"worst-case coherence mu   = {mu:.12g}\n" in text
+    assert f"average coherence nu      = {nu:.12g}\n" in text
+    assert coherence(read_frame(path)) == (mu, nu)
+
+
+def test_generic_coherence_memory_is_bounded(tmp_path):
+    frame = _wide_binary_frame(tmp_path / "wide.frame")
+    tracemalloc.start()
+    try:
+        coherence(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20

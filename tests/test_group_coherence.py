@@ -1,5 +1,6 @@
-"""Group-frame coherence: constructed harmonic and code frames get mu and nu
-from the first Gram row, every other frame from the dense Gram."""
+"""Coherence kernels against the dense N x N Gram: constructed harmonic and
+code frames get mu and nu from the first Gram row, every other frame from
+Gram blocks over the upper block triangle (mu) and F^H (F 1) (nu)."""
 import math
 from fractions import Fraction
 
@@ -86,8 +87,8 @@ def test_group_path_forms_no_gram(monkeypatch):
     frames.append(build_harmonic(HarmonicFrameSpec(256, 24, seed=2))[0])
     expected = [_dense(f) for f in frames]
 
-    def refuse(frame):
-        raise AssertionError("dense Gram formed for a group frame")
+    def refuse(frame, start=0, stop=None):
+        raise AssertionError("Gram formed for a group frame")
 
     monkeypatch.setattr(framecoh.frame, "gram", refuse)
     for frame, (mu_d, nu_d) in zip(frames, expected):
@@ -97,7 +98,7 @@ def test_group_path_forms_no_gram(monkeypatch):
         assert average_coherence(frame) == nu
         report = scp_check(frame)
         assert (report.mu, report.nu) == (mu, nu)
-    with pytest.raises(AssertionError, match="dense Gram"):
+    with pytest.raises(AssertionError, match="Gram formed"):
         coherence(Frame(frames[0].data, normalize=False))
 
 
@@ -122,7 +123,82 @@ def test_transforms_give_plain_frame(transform, tmp_path):
     frame = harmonic_frame_from_rows(64, [0, 3, 7, 20])
     out = transform(frame, tmp_path)
     assert type(out) is Frame
-    assert coherence(out) == _dense(out)
+    mu, nu = coherence(out)
+    mu_d, nu_d = _dense(out)
+    assert mu == mu_d
+    assert abs(nu - nu_d) <= 1e-12  # nu sums in another order than the dense Gram
+
+
+def _gaussian(m, n, complex_):
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((m, n))
+    if complex_:
+        data = data + 1j * rng.standard_normal((m, n))
+    return Frame(data)
+
+
+# (M, N) for the generic kernel; its block height is B = 2^19 // N rows
+GENERIC_SHAPES = {
+    "3000-cols": (64, 3000),  # B = 174, 18 blocks, the last one partial
+    "2048-cols": (32, 2048),  # B = 256, 8 full blocks
+    "one-block": (16, 100),  # N < B
+    "two-cols": (3, 2),
+    "tall": (300, 100),  # M > N
+}
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", sorted(GENERIC_SHAPES))
+def test_generic_kernel_matches_dense(shape, complex_):
+    frame = _gaussian(*GENERIC_SHAPES[shape], complex_)
+    mu, nu = coherence(frame)
+    mu_d, nu_d = _dense(frame)
+    assert mu == mu_d
+    assert abs(nu - nu_d) <= 1e-12
+
+
+@pytest.mark.parametrize("entries, blocks", [(60, 7), (20, 20), (1, 20)],
+                         ids=["B3", "B1", "B1-floor"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_generic_kernel_small_blocks(monkeypatch, entries, blocks, complex_):
+    # N = 20 split into blocks of 3 rows (the last of 2) or of 1 row each, as
+    # B = 2^19 // N gives beyond N = 131072.  BLAS takes other kernels for
+    # such thin products (gemv for one row), so mu may round 1-2 ulp apart
+    # from the dense Gram here; at the block heights of smaller N it is exact.
+    frame = _gaussian(5, 20, complex_)
+    expected = _dense(frame)
+    calls = []
+    real_gram = framecoh.frame.gram
+
+    def counted(frame, start=0, stop=None):
+        calls.append((start, stop))
+        return real_gram(frame, start, stop)
+
+    monkeypatch.setattr(framecoh.frame, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(framecoh.frame, "gram", counted)
+    mu, nu = coherence(frame)
+    assert len(calls) == blocks
+    assert abs(mu - expected[0]) <= 2 * np.spacing(expected[0])
+    assert abs(nu - expected[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("transform", [_flipped, _wiggled, _from_file],
+                         ids=["flip", "wiggle", "file"])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_generic_kernel_transformed_gaussian(transform, complex_, tmp_path):
+    out = transform(_gaussian(24, 1500, complex_), tmp_path)
+    mu, nu = coherence(out)
+    mu_d, nu_d = _dense(out)
+    assert mu == mu_d
+    assert abs(nu - nu_d) <= 1e-12
+
+
+def test_gram_block_is_a_slice_of_the_full_gram():
+    frame = _gaussian(6, 10, True)
+    full = gram(frame)
+    assert full.shape == (10, 10)
+    assert np.array_equal(gram(frame, 4, 7), full[4:7, 4:])
+    assert np.array_equal(gram(frame, 8), full[8:, 8:])
 
 
 def test_group_nu_matches_exact_row_sums():
