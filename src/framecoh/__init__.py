@@ -69,7 +69,7 @@ from .ost import (
     noise_floor_threshold,
     ost_recover,
     ost_threshold,
-    ost_trial,
+    ost_trials,
     snr_of,
     sparsity_regime_limit,
     weak_rip_estimate,

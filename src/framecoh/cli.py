@@ -120,7 +120,7 @@ def _cmd_recover(args) -> int:
         FlatAmplitudes,
         TwoTierAmplitudes,
         noise_floor_threshold,
-        ost_trial,
+        ost_trials,
     )
 
     if not (args.sigma2 > 0 and math.isfinite(args.sigma2)):
@@ -137,17 +137,10 @@ def _cmd_recover(args) -> int:
     else:
         law = TwoTierAmplitudes(alpha, math.sqrt(2.0 * args.sigma2 * math.log(n)))
 
-    rows = [
-        ost_trial(
-            frame, args.K, law, args.sigma2, args.t, mu,
-            index=i,
-            signal_seed=trial_seed(args.seed, 2 * i),
-            noise_seed=trial_seed(args.seed, 2 * i + 1),
-            lam=args.lam,
-            snr=args.snr,
-        )
-        for i in range(args.trials)
-    ]
+    seeds = [(trial_seed(args.seed, 2 * i), trial_seed(args.seed, 2 * i + 1))
+             for i in range(args.trials)]
+    rows = ost_trials(frame, args.K, law, args.sigma2, args.t, mu, seeds,
+                      lam=args.lam, snr=args.snr)
     hits = sum(row[-1] for row in rows)
     text = ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text()
     if args.output:
@@ -187,7 +180,7 @@ _EXPERIMENT_PARAMS = {
                           "trials": ("trials", int), "seed": ("seed", int)},
     "harmonic-geometry": {"N": ("dft_size", int), "M": ("target_rows", int),
                           "trials": ("trials", int), "seed": ("seed", int)},
-    "code-geometry": {"m": ("m", int), "t": ("t", int), "seed": ("seed", int)},
+    "code-geometry": {"m": ("m", int), "t": ("t", int)},
     "flip-guarantee": {"M": ("rows", int), "N": ("cols", int),
                        "trials": ("trials", int), "seed": ("seed", int)},
     "weak-rip": {"trials": ("trials", int), "seed": ("seed", int),

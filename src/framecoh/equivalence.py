@@ -105,7 +105,7 @@ def linear_time_flip(frame: Frame) -> tuple[Frame, FlipPattern]:
     return apply_flip(frame, pattern), pattern
 
 
-def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 13) -> tuple[Frame, FlipPattern, float]:
+def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 11) -> tuple[Frame, FlipPattern, float]:
     """Minimum average coherence over the whole flipping class.
 
     Enumerates the 2^(N-1) sign patterns with the first sign fixed to +1
@@ -114,6 +114,13 @@ def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 13) -> tuple[Frame, F
     so the result is deterministic.  Patterns are scored in vectorised
     blocks against the Gram matrix: with D = diag(s),
     nu(FD) = max_i |s_i (G s)_i - G_ii| / (N-1).
+
+    Pattern p has s_j = -1 iff bit j-1 of p is set.  A block scores
+    ``chunk`` consecutive patterns, rounded down to a power of two (and
+    capped at 2^(N-1)), from an N x chunk sign table whose column c is
+    pattern start + c: rows j with 2^(j-1) < chunk alternate in runs of
+    2^(j-1) and are the same in every block, and each higher row is one
+    constant per block.
 
     Guarded at N <= 24; this is the slow reference the linear-time search
     is measured against.
@@ -125,24 +132,31 @@ def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 13) -> tuple[Frame, F
         raise ValueError(
             f"exhaustive flip search is guarded at N <= {MAX_ORACLE_COLS}, got N = {n}"
         )
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     g = gram(frame)
-    diag = np.real(np.diag(g))
+    diag = np.real(np.diag(g))[:, None]
     total = 1 << (n - 1)
+    chunk = min(1 << (int(chunk).bit_length() - 1), total)
+    low = chunk.bit_length()  # rows 1 .. low-1 alternate inside a block
+    signs = np.ones((n, chunk), dtype=g.dtype)
+    for j in range(1, low):
+        signs[j].reshape(-1, 2, 1 << (j - 1))[:, 1, :] = -1.0
     best_nu = np.inf
     best_index = -1
-    best_signs = None
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        signs = np.ones((idx.size, n))
-        for j in range(1, n):
-            signs[:, j] = 1.0 - 2.0 * ((idx >> (j - 1)) & 1)
-        v = signs @ g.T  # v[p, i] = sum_j G[i, j] s_j
-        nus = np.max(np.abs(signs * v - diag[None, :]), axis=1) / (n - 1)
+        for j in range(low, n):
+            signs[j] = -1.0 if (start >> (j - 1)) & 1 else 1.0
+        v = g @ signs  # v[i, p] = sum_j G[i, j] s_j
+        v *= signs
+        v -= diag
+        mags = np.abs(v, out=v) if np.isrealobj(v) else np.abs(v)
+        nus = np.maximum.reduce(mags, axis=0)
+        nus /= n - 1
         k = int(np.argmin(nus))  # first minimum: lowest index within the block
         if nus[k] < best_nu:
             best_nu = float(nus[k])
-            best_index = int(idx[k])
-            best_signs = signs[k].copy()
-    pattern = FlipPattern(best_signs)
-    assert best_index >= 0
+            best_index = start + k
+    signs = [1.0] + [-1.0 if (best_index >> (j - 1)) & 1 else 1.0 for j in range(1, n)]
+    pattern = FlipPattern(np.array(signs))
     return apply_flip(frame, pattern), pattern, best_nu

@@ -33,7 +33,7 @@ from .ost import (
     generate_problem,
     noise_floor_threshold,
     ost_recover,
-    ost_trial,
+    ost_trials,
     sparsity_regime_limit,
     weak_rip_estimate,
 )
@@ -208,7 +208,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
     return report
 
 
-def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2)), seed=0) -> ExperimentReport:
+def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2))) -> ExperimentReport:
     """Deterministic tightness and coherence checks for code-based frames."""
     out_rows = []
     all_ok = True
@@ -297,6 +297,7 @@ def run_weak_rip(
     code_k=2,
 ) -> ExperimentReport:
     """Permutation-based energy preservation: orthonormal and code-based frames."""
+    _require_trials(trials=trials)
     if code_k < 0:
         raise ValueError(f"K must be >= 0, got {code_k}")
     out_rows = []
@@ -382,24 +383,11 @@ def run_ost_recovery(
     mu_floor_coeff = (20.0 / t_param) * mu * math.sqrt(2.0 * k * math.log(cols))
     law = FlatAmplitudes(alpha)
 
-    out_rows = []
-    hits = 0
-    exact_count = 0
-    khat_sizes = []
-    for i in range(trials):
-        row = ost_trial(
-            frame, k, law, sigma2, t_param, mu,
-            index=i,
-            signal_seed=trial_seed(seed, 2 * i + 1),
-            noise_seed=trial_seed(seed, 2 * i + 2),
-            lam=None,
-            snr=None,
-        )
-        _, _, khat_size, exact, _, _, ok = row
-        hits += ok
-        exact_count += exact
-        khat_sizes.append(khat_size)
-        out_rows.append(row)
+    seeds = [(trial_seed(seed, 2 * i + 1), trial_seed(seed, 2 * i + 2)) for i in range(trials)]
+    out_rows = ost_trials(frame, k, law, sigma2, t_param, mu, seeds, lam=None, snr=None)
+    _, _, khat_sizes, exact, _, _, ok = zip(*out_rows)
+    hits = sum(ok)
+    exact_count = sum(exact)
 
     freq = hits / trials
     level = 1.0 - 10.0 / cols

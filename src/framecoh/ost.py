@@ -21,6 +21,9 @@ OST_C1 = 37.0 * math.e
 OST_C2 = 2.0 / (1.0 - math.exp(-0.5))
 OST_C3 = 1.0 + math.exp(-0.5) / (1.0 - math.exp(-0.5))
 
+#: Frame entries that `weak_rip_estimate` gathers per block of trials.
+_WEAK_RIP_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class SparseSignal:
@@ -165,17 +168,20 @@ def ost_recover(frame: Frame, y: np.ndarray, lam: float) -> RecoveryResult:
     A rank-deficient selected submatrix falls back to the minimum-norm
     least-squares solution and flags ``rank_deficient`` (with a warning).
     """
+    return _threshold_fit(frame.data, frame.data.conj().T, np.asarray(y).ravel(), lam)
+
+
+def _threshold_fit(data: np.ndarray, data_h: np.ndarray, y: np.ndarray, lam: float):
+    """`ost_recover` on F = ``data``, with F^H given as ``data_h``."""
     if lam <= 0:
         raise ValueError("threshold lam must be positive")
-    y = np.asarray(y).ravel()
-    z = frame.data.conj().T @ y
+    z = data_h @ y
     khat = np.flatnonzero(np.abs(z) > lam)
-    dtype = np.result_type(frame.data.dtype, y.dtype)
-    xhat = np.zeros(frame.cols, dtype=dtype)
+    dtype = np.result_type(data.dtype, y.dtype)
+    xhat = np.zeros(data.shape[1], dtype=dtype)
     rank_deficient = False
     if khat.size:
-        sub = frame.data[:, khat]
-        sol, _, rank, _ = np.linalg.lstsq(sub, y.astype(dtype), rcond=1e-10)
+        sol, _, rank, _ = np.linalg.lstsq(data[:, khat], y.astype(dtype), rcond=1e-10)
         if rank < khat.size:
             rank_deficient = True
             warnings.warn(
@@ -236,59 +242,75 @@ def check_rsp_bounds(result: RecoveryResult, x, sigma2: float) -> RspReport:
     dense = _as_dense(x)
     khat = result.support_estimate
     err = float(np.linalg.norm(dense - result.signal_estimate))
-    missed = np.setdiff1d(np.flatnonzero(dense), khat)
+    kept = set(khat.tolist())
+    # in index order, as np.setdiff1d gives: it fixes the summation order of the norm
+    missed = [i for i in np.flatnonzero(dense).tolist() if i not in kept]
     rhs = OST_C2 * math.sqrt(sigma2 * khat.size * math.log(dense.size)) + OST_C3 * float(
         np.linalg.norm(dense[missed])
     )
     return RspReport(l2_error=err, support_rhs=rhs, support_bound_ok=err <= rhs)
 
 
-#: Columns of the per-trial CSV row returned by :func:`ost_trial`.
+#: Columns of the per-trial CSV rows returned by :func:`ost_trials`.
 OST_TRIAL_HEADER = ("trial", "K", "|Khat|", "exact_support", "l2_error", "bound_rhs", "ok")
 
 
-def ost_trial(
+def ost_trials(
     frame: Frame,
     k: int,
     amplitude_law,
     sigma2: float,
     t: float,
     mu: float,
+    seeds,
     *,
-    index: int,
-    signal_seed: int,
-    noise_seed: int,
     lam: float | None,
     snr: float | None,
-) -> tuple:
-    """One noisy OST recovery trial, returned as a row of OST_TRIAL_HEADER.
+) -> list[tuple]:
+    """Noisy OST recovery trials, one row of OST_TRIAL_HEADER per trial.
 
-    Draws (x, y) from the two seeds, thresholds at ``lam`` (when None, at
-    :func:`ost_threshold` with ``snr``, itself taken from the drawn signal
-    when None), recovers, and evaluates the floors and the error bounds.
-    ok means the support estimate contains T_sigma intersect T_mu, lies
-    inside the true support, and meets the support error bound.
+    Trial i draws (x, y) with :func:`generate_problem` from
+    ``seeds[i] = (signal_seed, noise_seed)``, thresholds at ``lam`` (when
+    None, at :func:`ost_threshold` with ``snr``, itself taken from the drawn
+    signal when None), recovers as :func:`ost_recover` does, and evaluates
+    :func:`floor_sets` and :func:`check_rsp_bounds`.  ok means the support
+    estimate contains T_sigma intersect T_mu, lies inside the true support,
+    and meets the support error bound.
 
     ok also implies the paper's T-term bound c2 sqrt(sigma^2 K ln N) +
     c3 ||x - x_T|| with T = T_sigma intersect T_mu: T within Khat within K
     gives |Khat| <= K, and K \\ Khat misses T, so ||x_{K \\ Khat}|| <= ||x - x_T||.
+
+    F^H is formed once per call, not once per trial: for a real F as the
+    C-ordered complex128 copy that numpy would otherwise cast for every
+    F^H y, so the proxy keeps the bits of :func:`ost_recover`.
     """
-    x, y = generate_problem(
-        frame, k, amplitude_law, NoiseModel(sigma2, seed=noise_seed), seed=signal_seed
-    )
     m, n = frame.rows, frame.cols
-    if lam is None:
-        if snr is None:
-            snr = snr_of(x, m, sigma2)
-        lam = ost_threshold(mu, m, snr, sigma2, n, t)
-    res = ost_recover(frame, y, lam)
-    rsp = check_rsp_bounds(res, x, sigma2)
-    khat = res.support_estimate
-    must_find = np.intersect1d(*floor_sets(x, sigma2, mu, t))
-    contained = bool(np.all(np.isin(must_find, khat)) and np.all(np.isin(khat, x.support)))
-    exact = bool(khat.size == k and np.array_equal(khat, x.support))
-    ok = contained and rsp.support_bound_ok
-    return (index, k, khat.size, exact, rsp.l2_error, rsp.support_rhs, ok)
+    data = frame.data
+    if np.iscomplexobj(data):
+        data_h = data.conj().T
+    else:
+        data_h = np.ascontiguousarray(data.T, dtype=np.complex128)
+    rows = []
+    for index, (signal_seed, noise_seed) in enumerate(seeds):
+        x, y = generate_problem(
+            frame, k, amplitude_law, NoiseModel(sigma2, seed=noise_seed), seed=signal_seed
+        )
+        dense = x.dense()
+        threshold = lam
+        if lam is None:
+            trial_snr = snr_of(x, m, sigma2) if snr is None else snr
+            threshold = ost_threshold(mu, m, trial_snr, sigma2, n, t)
+        res = _threshold_fit(data, data_h, y, threshold)
+        rsp = check_rsp_bounds(res, dense, sigma2)
+        khat = res.support_estimate.tolist()
+        noise_set, mu_set = floor_sets(dense, sigma2, mu, t)
+        must_find = set(noise_set.tolist()).intersection(mu_set.tolist())
+        support = x.support.tolist()
+        contained = must_find.issubset(khat) and set(support).issuperset(khat)
+        ok = contained and rsp.support_bound_ok
+        rows.append((index, k, len(khat), khat == support, rsp.l2_error, rsp.support_rhs, ok))
+    return rows
 
 
 def weak_rip_estimate(frame: Frame, x: SparseSignal, delta: float, trials: int, seed: int) -> float:
@@ -297,22 +319,33 @@ def weak_rip_estimate(frame: Frame, x: SparseSignal, delta: float, trials: int, 
 
     Each trial draws a uniform permutation of all N coordinates; because x
     is sparse, ||Fy||^2 only needs the columns at the permuted support.
+    The trial loop keeps only those K positions; the energies are then
+    evaluated over blocks of trials whose gathered columns hold about
+    _WEAK_RIP_ENTRIES entries.  A blocked energy may differ from a
+    one-trial-at-a-time evaluation in its last ulp, so the count is exact
+    unless an energy lies within rounding of a band edge.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if x.length != frame.cols:
         raise ValueError("signal length must match the number of frame columns")
     rng = np.random.default_rng(seed)
-    data = frame.data
+    positions = np.empty((trials, x.sparsity), dtype=np.int64)
+    for i in range(trials):
+        positions[i] = rng.permutation(x.length)[x.support]  # y[perm[j]] = x[j]
+    columns = frame.data.T  # columns[n] is f_n
     values = x.values
     energy = float(np.vdot(values, values).real)
     lo, hi = (1.0 - delta) * energy, (1.0 + delta) * energy
+    block = max(1, _WEAK_RIP_ENTRIES // max(1, frame.rows * x.sparsity))
     violations = 0
-    for _ in range(trials):
-        perm = rng.permutation(x.length)
-        positions = perm[x.support]  # y[perm[j]] = x[j]
-        fy = data[:, positions] @ values
-        e = float(np.vdot(fy, fy).real)
-        if e < lo or e > hi:
-            violations += 1
+    for start in range(0, trials, block):
+        picked = columns[positions[start:start + block]]  # (trials, K, M)
+        if np.isrealobj(picked):
+            re, im = values.real @ picked, values.imag @ picked
+            e = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+        else:
+            parts = (values @ picked).view(np.float64)
+            e = np.einsum("ij,ij->i", parts, parts)
+        violations += int(np.count_nonzero((e < lo) | (e > hi)))
     return violations / trials

@@ -6,18 +6,27 @@ import numpy as np
 import pytest
 
 import framecoh.frame
+from conftest import rebuilt_ost_rows
 from framecoh import (
+    ExperimentReport,
+    FlatAmplitudes,
     Frame,
+    TwoTierAmplitudes,
     bound_table,
     build_gaussian,
+    build_harmonic,
     coherence,
+    noise_floor_threshold,
     run_experiment,
     read_frame,
     scp_check,
+    trial_seed,
+    worst_case_coherence,
     write_frame,
 )
 from framecoh.cli import main, read_config_file
-from framecoh.constructions import GaussianFrameSpec
+from framecoh.constructions import GaussianFrameSpec, HarmonicFrameSpec
+from framecoh.ost import OST_TRIAL_HEADER
 from framecoh.fixtures import flip_demo_path
 
 
@@ -239,9 +248,22 @@ def test_experiment_config_unknown_key_exit_2(tmp_path, capsys):
     assert "valid keys: M, N, experiment, seed, trials" in captured.err
 
 
+def test_code_geometry_config_seed_is_unknown_exit_2(tmp_path, capsys):
+    # code-geometry is deterministic and takes no seed
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment=code-geometry\nm=4\nseed=3\n")
+    rc = main(["experiment", "--config", str(cfg)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {cfg}: unknown key(s) seed for code-geometry; valid keys: experiment, m, t\n"
+    )
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 @pytest.mark.parametrize(
-    "name", ["gaussian-geometry", "harmonic-geometry", "ost-recovery", "flip-guarantee"]
+    "name", ["gaussian-geometry", "harmonic-geometry", "ost-recovery", "flip-guarantee", "weak-rip"]
 )
 def test_experiment_trials_below_one_exit_2(tmp_path, capsys, name, trials):
     cfg = tmp_path / "exp.cfg"
@@ -359,6 +381,39 @@ def test_recover_explicit_lambda_exact_on_identity(tmp_path, capsys):
     for line in out.splitlines()[1:4]:
         cells = line.split(",")
         assert cells[2] == "4" and cells[3] == "1"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rank-deficient fallback
+@pytest.mark.parametrize(
+    "make, argv",
+    [
+        (lambda: build_gaussian(GaussianFrameSpec(64, 256, 2)), ["-K", "4"]),
+        (lambda: build_gaussian(GaussianFrameSpec(64, 256, 2)), ["-K", "4", "--lam", "90"]),
+        (lambda: build_harmonic(HarmonicFrameSpec(256, 64, 1))[0], ["-K", "4"]),
+        (lambda: build_harmonic(HarmonicFrameSpec(256, 64, 1))[0],
+         ["-K", "4", "--lam", "90", "--amplitude", "two-tier"]),
+    ],
+    ids=["gaussian", "gaussian-lam", "harmonic", "harmonic-lam-two-tier"],
+)
+def test_recover_rows_match_per_trial_functions(tmp_path, capsys, make, argv):
+    frame_path = tmp_path / "f.frame"
+    write_frame(frame_path, make(), binary=True)
+    out = tmp_path / "rec.csv"
+    assert main(["recover", str(frame_path), "--sigma2", "1.0", "--trials", "12",
+                 "--seed", "5", *argv, "-o", str(out)]) == 0
+    frame = read_frame(frame_path)
+    sigma2, t, k = 1.0, 0.5, 4
+    n = frame.cols
+    alpha = 10.0 * noise_floor_threshold(sigma2, n, t)
+    law = (TwoTierAmplitudes(alpha, math.sqrt(2.0 * sigma2 * math.log(n)))
+           if "two-tier" in argv else FlatAmplitudes(alpha))
+    lam = 90.0 if "--lam" in argv else None
+    seeds = [(trial_seed(5, 2 * i), trial_seed(5, 2 * i + 1)) for i in range(12)]
+    rows = rebuilt_ost_rows(frame, k, law, sigma2, t, worst_case_coherence(frame), seeds,
+                            lam=lam)
+    assert out.read_text() == ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text()
+    if lam is not None:  # the least-squares fit ran
+        assert any(row[2] > 0 for row in rows)
 
 
 def test_construct_guard_error_exit_2(capsys):

@@ -165,6 +165,25 @@ class TestLinearTimeFlip:
         )
 
 
+# exhaustive_flip_oracle(random_frame(m, n, seed, complex_)): min_nu.hex() and
+# the pattern, bit for bit, as computed when each block built its sign table
+# row by row and scored it against G^T
+FROZEN_ORACLE = [
+    (1, 2, 0, False, "0x1.0000000000000p+0", "++"),
+    (2, 3, 1, False, "0x1.2afb14d1723bcp-1", "+++"),
+    (2, 3, 2, True, "0x1.ca8aaaa593aa2p-1", "+++"),
+    (3, 8, 3, False, "0x1.779896debbe9ep-3", "++---+++"),
+    (2, 8, 4, True, "0x1.716cfd517d9ebp-3", "++-+----"),
+    (4, 12, 5, False, "0x1.d2edd9825bdaap-4", "+-+-+--+++-+"),
+    (3, 12, 6, True, "0x1.fa976f0fe6fe9p-4", "+----+----+-"),
+    (5, 12, 7, False, "0x1.59de58b417374p-4", "+---+-++-+++"),
+    (4, 16, 8, False, "0x1.46d37abc55d06p-4", "++++-++-+++-++--"),
+    (3, 16, 9, True, "0x1.5aa4ad0580712p-4", "+-+++-++++--+-++"),
+    (6, 16, 10, False, "0x1.4275e153be16ep-4", "++------+--++--+"),
+    (2, 16, 11, True, "0x1.3c6d38c1d8704p-4", "++++-+-++--+----"),
+]
+
+
 class TestExhaustiveOracle:
     def test_demo_frame_minimum(self):
         f = load_flip_demo()
@@ -207,13 +226,26 @@ class TestExhaustiveOracle:
         f = random_frame(2, 25, seed=1)
         with pytest.raises(ValueError, match="guarded at N <= 24"):
             exhaustive_flip_oracle(f)
+        with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
+            exhaustive_flip_oracle(random_frame(2, 4, seed=1), chunk=0)
 
     def test_chunking_consistent(self):
+        # chunk=17 is not a power of two; the oracle rounds it down to 16
         f = random_frame(3, 11, seed=12)
         full = exhaustive_flip_oracle(f)
         small = exhaustive_flip_oracle(f, chunk=17)
         assert full[2] == small[2]
         assert full[1].to_string() == small[1].to_string()
+
+    @pytest.mark.parametrize("m, n, seed, complex_, nu_hex, pattern", FROZEN_ORACLE)
+    def test_oracle_bits_frozen(self, m, n, seed, complex_, nu_hex, pattern):
+        f = random_frame(m, n, seed=seed, complex_=complex_)
+        _, found, min_nu = exhaustive_flip_oracle(f)
+        assert min_nu.hex() == nu_hex
+        assert found.to_string() == pattern
+        # any block size scores the same patterns with the same arithmetic
+        _, found, min_nu = exhaustive_flip_oracle(f, chunk=100)
+        assert (min_nu.hex(), found.to_string()) == (nu_hex, pattern)
 
 
 class TestOutOfRegimeInformational:

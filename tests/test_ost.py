@@ -4,18 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_frame
+from conftest import random_frame, rebuilt_ost_rows
 from framecoh import (
     OST_C1,
     OST_C2,
     OST_C3,
     FlatAmplitudes,
+    CodeFrameSpec,
     Frame,
     GaussianFrameSpec,
+    HarmonicFrameSpec,
     NoiseModel,
+    RecoveryResult,
     SparseSignal,
     TwoTierAmplitudes,
+    build_code_frame,
     build_gaussian,
+    build_harmonic,
     check_rsp_bounds,
     floor_sets,
     generate_problem,
@@ -23,14 +28,16 @@ from framecoh import (
     noise_floor_threshold,
     ost_recover,
     ost_threshold,
-    ost_trial,
+    ost_trials,
     scp_check,
     snr_of,
+    run_experiment,
     trial_seed,
     weak_rip_estimate,
     worst_case_coherence,
 )
 from framecoh import average_coherence
+from framecoh import ost
 
 
 class TestSparseSignal:
@@ -60,9 +67,10 @@ class TestSparseSignal:
 
 class TestGenerateProblem:
     def test_noiseless_is_exact(self):
-        f = random_frame(6, 12, seed=0)
-        x, y = generate_problem(f, 3, FlatAmplitudes(2.0), NoiseModel(0.0, seed=1), seed=2)
-        assert np.array_equal(y, f.data @ x.dense())
+        for m, n, k in [(6, 12, 3), (128, 512, 8)]:
+            f = random_frame(m, n, seed=0)
+            x, y = generate_problem(f, k, FlatAmplitudes(2.0), NoiseModel(0.0, seed=1), seed=2)
+            assert np.array_equal(y, f.data @ x.dense())
 
     def test_deterministic(self):
         f = random_frame(6, 12, seed=0)
@@ -231,6 +239,24 @@ class TestErrorBounds:
         # quoted to four decimals (truncated): 5.0829|88...
         assert OST_C2 == pytest.approx(5.0829, abs=1e-4)
 
+    def test_support_rhs_sums_missed_in_index_order(self):
+        # ||x_{K \\ Khat}|| over the missed indices in increasing order, as
+        # np.setdiff1d gives them, bit for bit
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = 64
+            x = np.zeros(n, dtype=complex)
+            support = rng.choice(n, 30, replace=False)
+            scale = 10.0 ** rng.integers(-8, 8, 30)
+            x[support] = scale * rng.normal(size=30) + 1j * rng.normal(size=30)
+            khat = np.sort(rng.choice(n, 12, replace=False))
+            res = RecoveryResult(support_estimate=khat, signal_estimate=np.zeros(n, dtype=complex))
+            missed = np.setdiff1d(np.flatnonzero(x), khat)
+            rhs = OST_C2 * math.sqrt(0.5 * khat.size * math.log(n)) + OST_C3 * float(
+                np.linalg.norm(x[missed])
+            )
+            assert check_rsp_bounds(res, x, 0.5).support_rhs == rhs
+
     def test_exact_recovery_trivially_satisfies_bound(self):
         f = Frame(np.eye(16), normalize=False)
         x, y = generate_problem(f, 4, FlatAmplitudes(2.0), NoiseModel(0.0, seed=0), seed=1)
@@ -272,12 +298,9 @@ class TestErrorBounds:
             "two-tier": TwoTierAmplitudes(alpha, math.sqrt(2.0 * sigma2 * math.log(n))),
         }[law_name]
         oks = with_t = 0
-        for i in range(60):
-            signal_seed, noise_seed = trial_seed(7, 2 * i), trial_seed(7, 2 * i + 1)
-            *_, l2_error, _, ok = ost_trial(
-                frame, k, law, sigma2, t, mu, index=i, signal_seed=signal_seed,
-                noise_seed=noise_seed, lam=None, snr=None,
-            )
+        seeds = [(trial_seed(7, 2 * i), trial_seed(7, 2 * i + 1)) for i in range(60)]
+        rows = ost_trials(frame, k, law, sigma2, t, mu, seeds, lam=None, snr=None)
+        for (signal_seed, noise_seed), (*_, l2_error, _, ok) in zip(seeds, rows):
             if not ok:
                 continue
             x, _ = generate_problem(
@@ -305,6 +328,127 @@ class TestErrorBounds:
         assert direct == pytest.approx(reduced, rel=1e-14)
 
 
+def _gaussian_128_512():
+    return build_gaussian(GaussianFrameSpec(128, 512, 5))
+
+
+def _gaussian_64_256():
+    return build_gaussian(GaussianFrameSpec(64, 256, 3))
+
+
+def _harmonic_256_64():
+    return build_harmonic(HarmonicFrameSpec(256, 64, 1))[0]
+
+
+def _identity_64():
+    return Frame(np.eye(64), normalize=False)
+
+
+def _fortran_32_100():
+    return Frame(np.asfortranarray(np.random.default_rng(4).standard_normal((32, 100))))
+
+
+def _complex_16_40():
+    return random_frame(16, 40, seed=6, complex_=True)
+
+
+# name: (frame builder, K, amplitude law, lam as a multiple of alpha or None, snr)
+OST_TRIAL_CASES = {
+    "gaussian-128x512": (_gaussian_128_512, 8, "flat", None, None),
+    "gaussian-64x256-lam": (_gaussian_64_256, 4, "flat", 0.5, None),
+    "harmonic-256-64": (_harmonic_256_64, 4, "two-tier", None, None),
+    "harmonic-256-64-lam": (_harmonic_256_64, 4, "flat", 0.5, None),
+    "harmonic-256-64-snr": (_harmonic_256_64, 4, "flat", None, 3.0),
+    "identity-64": (_identity_64, 6, "flat", None, None),
+    # above every proxy: Khat is empty and misses the whole T = T_sigma = K
+    "identity-64-lam-above": (_identity_64, 6, "flat", 100.0, None),
+    "fortran-32x100-lam": (_fortran_32_100, 3, "flat", 0.5, None),
+    "complex-16x40-lam": (_complex_16_40, 3, "two-tier", 0.3, None),
+}
+
+
+class TestOstTrials:
+    """The trial loop gives the rows of the public per-trial functions, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # rank-deficient fallback
+    @pytest.mark.parametrize("name", sorted(OST_TRIAL_CASES))
+    def test_rows_match_per_trial_functions(self, name):
+        make, k, law_name, lam_factor, snr = OST_TRIAL_CASES[name]
+        frame = make()
+        sigma2, t = 1.0, 0.5
+        n = frame.cols
+        mu = worst_case_coherence(frame)
+        alpha = 10.0 * noise_floor_threshold(sigma2, n, t)
+        law = {
+            "flat": FlatAmplitudes(alpha),
+            "two-tier": TwoTierAmplitudes(alpha, math.sqrt(2.0 * sigma2 * math.log(n))),
+        }[law_name]
+        lam = None if lam_factor is None else lam_factor * alpha
+        seeds = [(trial_seed(3, 2 * i), trial_seed(3, 2 * i + 1)) for i in range(20)]
+        rows = ost_trials(frame, k, law, sigma2, t, mu, seeds, lam=lam, snr=snr)
+        assert rows == rebuilt_ost_rows(frame, k, law, sigma2, t, mu, seeds, lam=lam, snr=snr)
+        if lam_factor is not None and lam_factor < 1:  # the least-squares fit ran
+            assert any(row[2] > 0 for row in rows)
+
+    def test_run_ost_recovery_rows_match_per_trial_functions(self):
+        seed, sigma2, t = 4, 1.0, 0.5
+        report = run_experiment("ost-recovery", rows=128, cols=512, k=8, trials=20, seed=seed,
+                                sanity_trials=1)
+        frame = build_gaussian(GaussianFrameSpec(128, 512, trial_seed(seed, 0)))
+        law = FlatAmplitudes(10.0 * noise_floor_threshold(sigma2, 512, t))
+        seeds = [(trial_seed(seed, 2 * i + 1), trial_seed(seed, 2 * i + 2)) for i in range(20)]
+        mu = worst_case_coherence(frame)
+        assert report.rows == rebuilt_ost_rows(frame, 8, law, sigma2, t, mu, seeds)
+
+    @pytest.mark.parametrize("name", ["gaussian-128x512", "harmonic-256-64", "fortran-32x100-lam"])
+    def test_proxy_bits_match_ost_recover(self, monkeypatch, name):
+        # the F^H formed once per call gives the proxy F^H y of ost_recover bit for bit
+        frame = OST_TRIAL_CASES[name][0]()
+        fit = ost._threshold_fit
+        proxies = []
+
+        def spy(data, data_h, y, lam):
+            proxies.append((data_h @ y, frame.data.conj().T @ y))
+            return fit(data, data_h, y, lam)
+
+        monkeypatch.setattr(ost, "_threshold_fit", spy)
+        seeds = [(trial_seed(8, 2 * i), trial_seed(8, 2 * i + 1)) for i in range(10)]
+        ost_trials(frame, 3, FlatAmplitudes(20.0), 1.0, 0.5, 0.1, seeds, lam=None, snr=None)
+        assert len(proxies) == 10
+        assert all(np.array_equal(got, want) for got, want in proxies)
+
+    def test_bad_lam_rejected(self):
+        f = random_frame(4, 10, seed=1)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            ost_trials(f, 2, FlatAmplitudes(1.0), 1.0, 0.5, 0.3, [(1, 2)], lam=-1.0, snr=None)
+
+
+WEAK_RIP_FRAMES = {
+    "code-4-1": lambda: build_code_frame(CodeFrameSpec(4, 1)),
+    "gaussian-16x64": lambda: random_frame(16, 64, seed=31),
+    "complex-8x24": lambda: random_frame(8, 24, seed=32, complex_=True),
+}
+# violations in 1000 trials at delta = 0.05 and 0.3, by frame and K, as
+# counted when every trial evaluated its own ||F y||^2
+WEAK_RIP_COUNTS = {
+    "code-4-1": {0: (0, 0), 1: (0, 0), 3: (707, 46)},
+    "gaussian-16x64": {0: (0, 0), 1: (0, 0), 3: (791, 71)},
+    "complex-8x24": {0: (0, 0), 1: (0, 0), 3: (891, 335)},
+}
+
+
+def _violations_one_trial_at_a_time(frame, x, delta, trials, seed):
+    rng = np.random.default_rng(seed)
+    energy = float(np.vdot(x.values, x.values).real)
+    count = 0
+    for _ in range(trials):
+        positions = rng.permutation(x.length)[x.support]
+        fy = frame.data[:, positions] @ x.values
+        e = float(np.vdot(fy, fy).real)
+        count += e < (1.0 - delta) * energy or e > (1.0 + delta) * energy
+    return count
+
+
 class TestWeakRip:
     def test_orthonormal_never_violates(self):
         f = Frame(np.eye(64), normalize=False)
@@ -326,6 +470,25 @@ class TestWeakRip:
         loose = weak_rip_estimate(f, x, delta=0.9, trials=400, seed=6)
         tight = weak_rip_estimate(f, x, delta=0.01, trials=400, seed=6)
         assert tight >= loose
+
+    @pytest.mark.parametrize("entries", [None, 64])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(WEAK_RIP_FRAMES))
+    def test_counts_pinned_where_nonzero(self, monkeypatch, name, k, entries):
+        # deltas at which the violation counts are not 0 by construction;
+        # entries=64 forces blocks of one or two trials
+        if entries is not None:
+            monkeypatch.setattr(ost, "_WEAK_RIP_ENTRIES", entries)
+        f = WEAK_RIP_FRAMES[name]()
+        n = f.cols
+        rng = np.random.default_rng(40 + k)
+        support = np.sort(rng.choice(n, k, replace=False))
+        x = SparseSignal(n, support, np.exp(2j * np.pi * rng.random(k)))
+        trials = 1000
+        for delta, pinned in zip((0.05, 0.3), WEAK_RIP_COUNTS[name][k]):
+            rate = weak_rip_estimate(f, x, delta=delta, trials=trials, seed=50 + k)
+            assert rate * trials == pinned
+            assert pinned == _violations_one_trial_at_a_time(f, x, delta, trials, 50 + k)
 
     def test_validation(self):
         f = random_frame(3, 8, seed=0)
