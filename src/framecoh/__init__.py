@@ -21,6 +21,7 @@ from .constructions import (
     build_code_frame,
     build_gaussian,
     build_harmonic,
+    code_frame_geometry,
     harmonic_frame_from_rows,
     xor_stationary_coherence,
 )

@@ -147,44 +147,100 @@ class CodeFrameSpec:
         return self.poly if self.poly is not None else least_irreducible(self.m)
 
 
+def _check_code_columns(spec: CodeFrameSpec) -> None:
+    """Refuse a code frame with more than `MAX_CODE_COLUMNS` columns."""
+    if spec.cols > MAX_CODE_COLUMNS:
+        raise ValueError(
+            f"code frame needs {spec.cols} columns; guard allows at most {MAX_CODE_COLUMNS}"
+        )
+
+
+def _code_factors(spec: CodeFrameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two +/-1 factors (H, S) of a code frame, as float64 arrays.
+
+    H[x, a] = (-1)^Tr(a*x) is 2^m x 2^m, and S[beta, x] =
+    (-1)^Tr(sum_{i>=1} alpha_i * x^(2^i + 1)) is 2^(tm) x 2^m with
+    beta = sum_{i>=1} alpha_i * 2^((i-1)m).  The frame entry at row x and
+    column alpha_0 + 2^m * beta is 2^(-m/2) * H[x, alpha_0] * S[beta, x].
+    Both take O(N) memory, with N = 2^((t+1)m) the frame's column count.
+    """
+    field = GF2m(spec.m, spec.modulus())
+    size = field.size
+    bil = field.bilinear_trace_table  # bil[a, b] = Tr(a*b) = bil[b, a]
+
+    # bits over axes (alpha_t, ..., alpha_1, x): XOR of the tables
+    # Tr(alpha_i * x^(2^i + 1))
+    x = np.arange(size, dtype=np.int64)
+    bits = np.uint8(0)
+    for i in range(1, spec.t + 1):
+        shape = [1] * (spec.t + 1)
+        shape[spec.t - i] = shape[spec.t] = size
+        bits = bits ^ bil[:, field.pow_2k_plus_1(x, i)].reshape(shape)
+    s = np.where(bits, -1.0, 1.0).reshape(-1, size)
+    return np.where(bil, -1.0, 1.0), s
+
+
 def build_code_frame(spec: CodeFrameSpec) -> Frame:
-    """Evaluate the trace sign pattern over all rows x and column tuples.
+    """Expand the two +/-1 factors of a code frame into its dense matrix.
 
     Rows are indexed by the field elements x = 0 .. 2^m - 1; columns by
     (t+1)-tuples alpha encoded as c = sum_i alpha_i * 2^(i*m), so alpha_0
     varies fastest.  The sign of entry (x, c) is
-    (-1)^Tr(alpha_0*x + sum_{i>=1} alpha_i * x^(2^i + 1)).  The result is a
-    group frame (see `xor_stationary_coherence`).
+    (-1)^Tr(alpha_0*x + sum_{i>=1} alpha_i * x^(2^i + 1)), written as the
+    product H[x, alpha_0] * S[beta, x] of the factors of `_code_factors`;
+    each entry is exactly +/- 2^(-m/2).  The result is a group frame (see
+    `xor_stationary_coherence`).  `code_frame_geometry` reads the same
+    geometry from the factors without building this matrix.
     """
-    n_cols = spec.cols
-    if n_cols > MAX_CODE_COLUMNS:
-        raise ValueError(
-            f"code frame needs {n_cols} columns; guard allows at most {MAX_CODE_COLUMNS}"
-        )
-    n_entries = spec.rows * n_cols
+    _check_code_columns(spec)
+    n_entries = spec.rows * spec.cols
     if n_entries > MAX_CODE_ENTRIES:
         raise ValueError(
             f"code frame needs {n_entries} entries; guard allows at most {MAX_CODE_ENTRIES}"
         )
-    field = GF2m(spec.m, spec.modulus())
-    size = field.size
-    bil = field.bilinear_trace_table  # bil[a, b] = Tr(a*b)
-
-    # bits over axes (x, alpha_t, ..., alpha_0): XOR of the tables
-    # Tr(alpha_i * p_i(x)) with p_0(x) = x and p_i(x) = x^(2^i + 1)
-    x = np.arange(size, dtype=np.int64)
-    polys = [x] + [field.pow_2k_plus_1(x, i) for i in range(1, spec.t + 1)]
-    bits = np.uint8(0)
-    for i, p in enumerate(polys):
-        shape = [size] + [1] * (spec.t + 1)
-        shape[spec.t + 1 - i] = size
-        bits = bits ^ bil[p].reshape(shape)
-
-    scale = 2.0 ** (-spec.m / 2.0)
-    data = np.where(bits, -scale, scale).reshape(size, n_cols)
-    del bits  # the frame takes over data; drop the sign bits before its checks
+    h, s = _code_factors(spec)
+    size = spec.rows
+    data = np.empty((size, s.shape[0], size))
+    np.multiply(s.T[:, :, None], (2.0 ** (-spec.m / 2.0) * h)[:, None, :], out=data)
+    del h, s  # the frame takes over data; drop the factors before its checks
     # column norms: 2^m equal squares summing to 1 up to one rounding of scale^2
-    return _GroupFrame._own(data, normalize=False)
+    return _GroupFrame._own(data.reshape(size, spec.cols), normalize=False)
+
+
+def code_frame_geometry(spec: CodeFrameSpec) -> tuple[float, float, float]:
+    """(||F||_2^2, mu, nu) of a code frame from its two factors, exactly.
+
+    With F[x, alpha_0 + 2^m beta] = 2^(-m/2) H[x, alpha_0] S[beta, x] (see
+    `_code_factors`), the first Gram row is w = 2^(-m) vec(S H), with
+    alpha_0 fastest, and the frame operator is F F^T =
+    2^(-m) (S^T S) o (H H^T), an M x M matrix whose top eigenvalue is
+    ||F||_2^2.  Both products are of +/-1 matrices, so every entry is an
+    integer that float64 holds exactly whatever the summation order or
+    thread count; scaling by 2^(-m) is exact too.  mu and nu come from w as
+    in `xor_stationary_coherence`.  The M x N frame is never formed, so
+    time and memory are O(N M) and O(N).  Guarded by `MAX_CODE_COLUMNS`.
+    """
+    _check_code_columns(spec)
+    h, s = _code_factors(spec)
+    scale = 2.0 ** -spec.m
+    op = (s.T @ s) * (h @ h.T)
+    op *= scale
+    w = s @ h
+    del s  # so at most two N-entry arrays, w and then |w|, are live at once
+    w *= scale
+    return (float(np.linalg.eigvalsh(op)[-1]), *_row_coherence(w.ravel()))
+
+
+def _row_coherence(w: np.ndarray) -> tuple[float, float]:
+    """(mu, nu) of a group frame from its first Gram row ``w``.
+
+    Every Gram row is a permutation of w, so mu is the largest |w(c)| over
+    c != 0, and every row sums to sum_{c != 0} w(c); nu is its modulus over
+    N - 1.
+    """
+    mu = float(np.max(np.abs(w[1:])))
+    nu = float(abs(w.sum() - w[0]) / (w.size - 1))
+    return mu, nu
 
 
 def xor_stationary_coherence(frame: Frame) -> tuple[float, float]:
@@ -193,13 +249,9 @@ def xor_stationary_coherence(frame: Frame) -> tuple[float, float]:
     The frame must be one whose Gram entry <f_a, f_b> is w(b - a mod N), as
     for a harmonic frame (the cyclic group Z_N), or w(a XOR b), as for a
     code frame (the group (Z_2)^((t+1)m)).  Then w = F^H f_0 is the first
-    Gram row, computed with one float64 matrix-vector product: mu is the
-    largest |w(c)| over c != 0, and every Gram row sums to the same value
-    sum_{c != 0} w(c), so nu is its modulus over N - 1.  The N x N Gram is
-    never formed.  On any other frame the values are those of row 0 only.
+    Gram row, computed with one float64 matrix-vector product, and mu and
+    nu follow as in `code_frame_geometry`, which gets the same row of a
+    code frame exactly from its factors.  The N x N Gram is never formed.
+    On any other frame the values are those of row 0 only.
     """
-    w = frame.data.T @ frame.data[:, 0].conj()
-    n = frame.cols
-    mu = float(np.max(np.abs(w[1:])))
-    nu = float(abs(w.sum() - w[0]) / (n - 1))
-    return mu, nu
+    return _row_coherence(frame.data.T @ frame.data[:, 0].conj())

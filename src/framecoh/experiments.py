@@ -22,9 +22,10 @@ from .constructions import (
     build_code_frame,
     build_gaussian,
     build_harmonic,
+    code_frame_geometry,
 )
 from .equivalence import exhaustive_flip_oracle, linear_time_flip
-from .frame import Frame, coherence, spectral_norm
+from .frame import Frame, coherence, spectral_norm, worst_case_coherence
 from .ost import (
     OST_TRIAL_HEADER,
     FlatAmplitudes,
@@ -209,21 +210,26 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
 
 
 def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2))) -> ExperimentReport:
-    """Deterministic tightness and coherence checks for code-based frames."""
+    """Deterministic tightness and coherence checks for code-based frames.
+
+    ||F||_2^2, mu and nu come from `code_frame_geometry`, which reads them
+    off the frame's two +/-1 factors exactly, so no case builds its
+    2^m x 2^((t+1)m) matrix and ``norm2_err`` is 0 for every tight frame.
+    Cases up to `MAX_CODE_COLUMNS` columns run; (8, 2) is the largest
+    with t = 2.
+    """
     out_rows = []
     all_ok = True
     for m, t in cases:
         spec = CodeFrameSpec(m, t)
-        frame = build_code_frame(spec)
-        sn2 = spectral_norm(frame) ** 2
+        sn2, mu, nu = code_frame_geometry(spec)
         norm2_err = abs(sn2 - 2 ** (t * m))
-        mu, nu = coherence(frame)
         mu_bound = 1.0 / math.sqrt(2 ** (m - 2 * t - 1))
         nu_bound = mu / math.sqrt(2**m)
         # 1e-12 headroom covers float rounding only; the inequalities are exact
         ok = norm2_err <= 1e-9 and mu <= mu_bound + 1e-12 and nu <= nu_bound + 1e-12
         all_ok = all_ok and ok
-        out_rows.append((m, t, frame.rows, frame.cols, norm2_err, mu, mu_bound, nu, nu_bound, ok))
+        out_rows.append((m, t, spec.rows, spec.cols, norm2_err, mu, mu_bound, nu, nu_bound, ok))
     report = ExperimentReport(
         experiment="code-geometry",
         header=["m", "t", "rows", "cols", "norm2_err", "mu", "mu_bound", "nu", "nu_bound", "ok"],
@@ -319,7 +325,7 @@ def run_weak_rip(
     frame = build_code_frame(spec)
     n = frame.cols
     ln = math.log(n)
-    mu, _ = coherence(frame)
+    mu = worst_case_coherence(frame)
     if 2 * code_k * ln > frame.rows:
         raise ValueError("2 K ln N exceeds M; pick a smaller K")
     delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)
@@ -374,7 +380,7 @@ def run_ost_recovery(
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be a positive finite number, got {sigma2!r}")
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
-    mu, _ = coherence(frame)
+    mu = worst_case_coherence(frame)
     sn = spectral_norm(frame)
     tau_sigma = noise_floor_threshold(sigma2, cols, t_param)
     alpha = amp_factor * tau_sigma

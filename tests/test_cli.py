@@ -422,6 +422,19 @@ def test_construct_guard_error_exit_2(capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_code_geometry_beyond_dense_guard(capsys):
+    # (7, 2) has 2^28 entries, which the dense builder refuses; the factors do not
+    assert main(["experiment", "code-geometry", "-m", "7", "-t", "2"]) == 0
+    assert capsys.readouterr().out.endswith("RESULT: PASS\n")
+
+
+def test_code_geometry_column_guard_exit_2(capsys):
+    assert main(["experiment", "code-geometry", "-m", "9", "-t", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: code frame needs 134217728 columns; guard allows at most 16777216\n"
+    )
+
+
 def test_construct_code_modulus_override(tmp_path):
     default = tmp_path / "d.frame"
     other = tmp_path / "o.frame"
@@ -475,10 +488,12 @@ def test_construct_code_6_2_binary(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["analyze"], ["recover", "--sigma2", "1"]],
                          ids=["analyze", "recover"])
 def test_memory_error_exit_2(capsys, monkeypatch, argv):
-    def exhausted(frame):
+    # both subcommands reach the Gram blocks of mu: analyze through
+    # coherence, recover through worst_case_coherence
+    def exhausted(frame, start=0, stop=None):
         raise MemoryError("Unable to allocate 512. GiB")
 
-    monkeypatch.setattr(framecoh.frame, "coherence", exhausted)
+    monkeypatch.setattr(framecoh.frame, "gram", exhausted)
     rc = main([argv[0], str(flip_demo_path()), *argv[1:]])
     assert rc == 2
     assert capsys.readouterr().err == "error: Unable to allocate 512. GiB\n"

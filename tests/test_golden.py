@@ -43,7 +43,7 @@ RUNNER_CASES = {
 
 RUNNER_DIGESTS = {
     "bounds-figure": "f6da2ab26cad406931fba3d178016f064f60c101b16ba0711a4bd52583ee456f",
-    "code-geometry": "ae630277d442d5f374d43a968669c45c9d1201bb1dcb22cf7dfa4ee44c747efe",
+    "code-geometry": "a38e8136fa3963adf43803cbf54430d7ca4311ffc64033af3ace41665404ae9f",
     "flip-guarantee": "fe0c404c076361feb9eef2c9bd230d2d83dfae97c2d634b271742d445a5184bf",
     "gaussian-geometry": "8cfec83cb7cffd80dd146e85241e818e16169ac0cb041c3f3a2fef4ef7cb3705",
     "harmonic-geometry": "5219b8be271d745875f05d6f9060473482370cfba8400ffb10aa3c76cc9ff07d",

@@ -216,3 +216,24 @@ def test_group_nu_matches_exact_row_sums():
         im += ar * Fraction(bi) - ai * Fraction(br)
     exact = math.hypot(float(re), float(im)) / (n - 1)
     assert abs(average_coherence(frame) - exact) <= 1e-12 * exact
+
+
+def test_each_query_runs_only_its_kernel(monkeypatch):
+    frame = _gaussian(64, 300, False)
+    mu, nu = coherence(frame)
+    calls = []
+    real_gram = framecoh.frame.gram
+
+    def counted(frame, start=0, stop=None):
+        calls.append(start)
+        return real_gram(frame, start, stop)
+
+    monkeypatch.setattr(framecoh.frame, "gram", counted)
+    assert worst_case_coherence(frame) == mu
+    assert calls  # mu keeps its Gram blocks, which perfbench times
+
+    def refuse(frame, start=0, stop=None):
+        raise AssertionError("Gram block formed for nu")
+
+    monkeypatch.setattr(framecoh.frame, "gram", refuse)
+    assert average_coherence(frame) == nu
