@@ -7,10 +7,15 @@ stores the entries as little-endian 64-bit floats (real/imaginary pairs for
 complex frames), still column-major.
 
 Entries may be separated by any whitespace (spaces, tabs, newlines, CRLF);
-the writer puts one column per line.  Text entries are written with ``repr``
-(shortest round-trip form) and the imaginary sign comes from its sign bit, so
-both formats round-trip bit-exactly for both scalar fields, the sign of zero
-included.
+the writer puts one column per line, and error messages number lines by
+``\n`` alone.  Text entries are written with ``repr`` (shortest round-trip
+form) and the imaginary sign comes from its sign bit, so both formats
+round-trip bit-exactly for both scalar fields, the sign of zero included.
+
+Structured frames are built from few numbers (a harmonic frame from N roots
+of unity, a code frame from two), so the writer formats each distinct bit
+pattern once and the reader parses each distinct token once; the bytes
+written and the bits read are those of the per-entry loop.
 """
 from __future__ import annotations
 
@@ -22,6 +27,9 @@ from .frame import COMPLEX, REAL, Frame
 
 MAGIC = "FRAME"
 VERSION = "v1"
+# the reader builds its token -> value table only if these many leading
+# tokens already repeat one; an all-distinct file is parsed entry by entry
+_PROBE_TOKENS = 1024
 
 
 class FrameParseError(ValueError):
@@ -32,6 +40,16 @@ def _parse_complex(tok: str) -> complex:
     if not tok.endswith("i"):
         raise ValueError(tok)
     return complex(tok[:-1] + "j")
+
+
+def _reprs(x: np.ndarray):
+    """``repr`` of each entry of the float64 vector ``x``, one call per bit pattern."""
+    # bit patterns, not values: np.unique on floats would merge -0.0 into 0.0
+    keys, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    if keys.size == x.size:
+        return map(repr, x.tolist())
+    strings = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return strings[inverse].tolist()
 
 
 def write_frame(path, frame: Frame, binary: bool = False) -> None:
@@ -50,17 +68,15 @@ def write_frame(path, frame: Frame, binary: bool = False) -> None:
     if frame.is_complex:
         # re, the sign bit of im (so -0.0 keeps its sign), |im|
         signs = np.where(np.signbit(flat.imag), "-", "+").tolist()
-        entries = map(
-            "".join,
-            zip(map(repr, flat.real.tolist()), signs, map(repr, np.abs(flat.imag).tolist())),
-        )
-        unit = "i"
+        parts, unit = [_reprs(flat.real), signs, _reprs(np.abs(flat.imag))], "i"
     else:
-        entries, unit = map(repr, flat.tolist()), ""
-    # one column per line: an entry ends in unit + " ", the last of a column in unit + "\n"
-    pieces = [""] * (2 * flat.size)
-    pieces[0::2] = entries
-    pieces[1::2] = ([unit + " "] * (m - 1) + [unit + "\n"]) * n
+        parts, unit = [_reprs(flat)], ""
+    # one column per line: an entry is its parts, then unit + " " (unit + "\n" ending a column)
+    stride = len(parts) + 1
+    pieces = [""] * (stride * flat.size)
+    for k, part in enumerate(parts):
+        pieces[k::stride] = part
+    pieces[stride - 1 :: stride] = ([unit + " "] * (m - 1) + [unit + "\n"]) * n
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
         fh.write("".join(pieces))
@@ -89,9 +105,22 @@ def _parse_header(line: str, path) -> tuple[int, int, str, bool]:
     return m, n, field, binary
 
 
+def _parse_tokens(tokens: list, parse) -> list:
+    """``parse`` of each token, one call per distinct token once the probe sees a repeat."""
+    probe = tokens[:_PROBE_TOKENS]
+    if len(set(probe)) == len(probe):
+        return list(map(parse, tokens))
+    values = dict.fromkeys(tokens)
+    for tok in values:
+        values[tok] = parse(tok)
+    return list(map(values.__getitem__, tokens))
+
+
 def _first_bad_entry(text: str, parse) -> tuple[int, str]:
     """File line number and token of the first entry ``parse`` rejects."""
-    for lineno, line in enumerate(text.splitlines(), start=2):
+    # lines end at "\n" only, as for the header; str.splitlines would also
+    # break at \v, \f, \x1c-\x1e and a lone \r, which str.split takes as spaces
+    for lineno, line in enumerate(text.split("\n"), start=2):
         for tok in line.split():
             try:
                 parse(tok)
@@ -141,7 +170,7 @@ def read_frame(path) -> Frame:
         raise FrameParseError(f"{path}: expected {count} entries, found {len(tokens)}")
     parse, dtype = (_parse_complex, np.complex128) if field == COMPLEX else (float, np.float64)
     try:
-        flat = np.array(list(map(parse, tokens)), dtype=dtype)
+        flat = np.array(_parse_tokens(tokens, parse), dtype=dtype)
     except ValueError:
         lineno, tok = _first_bad_entry(text, parse)
         raise FrameParseError(

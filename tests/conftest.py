@@ -13,6 +13,30 @@ def random_frame(m, n, seed, complex_=False):
     return Frame(a)
 
 
+def per_entry_frame_text(frame):
+    """Text file bytes from the per-entry writer: one ``repr`` per entry.
+
+    The oracle for ``write_frame``, which formats each distinct bit
+    pattern once and must write these exact bytes.
+    """
+    m, n = frame.rows, frame.cols
+    flat = frame.data.flatten(order="F")
+    if frame.is_complex:
+        signs = np.where(np.signbit(flat.imag), "-", "+").tolist()
+        entries = map(
+            "".join,
+            zip(map(repr, flat.real.tolist()), signs, map(repr, np.abs(flat.imag).tolist())),
+        )
+        unit = "i"
+    else:
+        entries, unit = map(repr, flat.tolist()), ""
+    pieces = [""] * (2 * flat.size)
+    pieces[0::2] = entries
+    pieces[1::2] = ([unit + " "] * (m - 1) + [unit + "\n"]) * n
+    header = f"FRAME v1 {m} {n} {frame.scalar_field}\n"
+    return (header + "".join(pieces)).encode("ascii")
+
+
 def mercedes_frame():
     """Three unit vectors in the plane at 90, 210, and 330 degrees."""
     ang = np.deg2rad([90.0, 210.0, 330.0])

@@ -103,12 +103,12 @@ def test_analyze_malformed_file_exit_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def _identity_body(tok, bad_line, bad_tok):
-    # 8x8 identity, one column per line (file lines 2..9), one bad token
+def _identity_body(tok, bad_lines, bad_tok):
+    # 8x8 identity, one column per line (file lines 2..9), a bad token on each bad line
     lines = []
     for c in range(8):
         toks = [tok(1.0 if r == c else 0.0) for r in range(8)]
-        if c + 2 == bad_line:
+        if c + 2 in bad_lines:
             toks[2] = bad_tok
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
@@ -120,10 +120,19 @@ def _bad_file(kind, path):
     elif kind == "inf":
         path.write_text("FRAME v1 2 2 complex\n1.0+0.0i 0.0+0.0i\n0.0+0.0i inf+0.0i\n")
     elif kind == "bad-real":
-        path.write_text("FRAME v1 8 8 real\n" + _identity_body(repr, 7, "0.0.1"))
+        path.write_text("FRAME v1 8 8 real\n" + _identity_body(repr, (7,), "0.0.1"))
     elif kind == "bad-complex":
         path.write_text("FRAME v1 8 8 complex\n"
-                        + _identity_body(lambda x: f"{x!r}+0.0i", 8, "0.0+0.0"))
+                        + _identity_body(lambda x: f"{x!r}+0.0i", (8,), "0.0+0.0"))
+    elif kind == "bad-repeated":
+        # many repeats, so each distinct token is parsed once; the first line is reported
+        path.write_text("FRAME v1 8 8 real\n" + _identity_body(repr, (5, 7), "0.0.1"))
+    elif kind == "bad-after-probe":
+        # 32 x 40, all entries distinct: parsed entry by entry; entry 1100 is in column 34
+        toks = [repr(1.0 + k / 4096) for k in range(32 * 40)]
+        toks[1100] = "1.0e"
+        columns = [" ".join(toks[32 * c : 32 * c + 32]) for c in range(40)]
+        path.write_text("FRAME v1 32 40 real\n" + "\n".join(columns) + "\n")
     elif kind == "too-few":
         path.write_text("FRAME v1 2 2 real\n1.0 0.0 0.0\n")
     elif kind == "empty":
@@ -144,6 +153,8 @@ BAD_FILE_MESSAGES = {
     "inf": "{path}: frame entries must be finite",
     "bad-real": "{path}: line 7: cannot parse real entry '0.0.1'",
     "bad-complex": "{path}: line 8: cannot parse complex entry '0.0+0.0'",
+    "bad-repeated": "{path}: line 5: cannot parse real entry '0.0.1'",
+    "bad-after-probe": "{path}: line 36: cannot parse real entry '1.0e'",
     "too-few": "{path}: expected 4 entries, found 3",
     "empty": "{path}: line 1: missing header line",
     "non-ascii": "{path}: body is not ASCII text",
@@ -153,15 +164,33 @@ BAD_FILE_MESSAGES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_FILE_MESSAGES))
-def test_analyze_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
+def _assert_bad_file_exit_2(tmp_path, capsys, kind, command, *options):
     path = tmp_path / "bad.frame"
     _bad_file(kind, path)
-    rc = main(["analyze", str(path)])
+    rc = main([command, str(path), *options])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: " + BAD_FILE_MESSAGES[kind].format(path=path) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILE_MESSAGES))
+def test_analyze_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
+    _assert_bad_file_exit_2(tmp_path, capsys, kind, "analyze")
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILE_MESSAGES))
+def test_flip_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
+    out = tmp_path / "flipped.frame"
+    _assert_bad_file_exit_2(tmp_path, capsys, kind, "flip", "-o", str(out))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FILE_MESSAGES))
+def test_recover_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
+    out = tmp_path / "recover.csv"
+    _assert_bad_file_exit_2(tmp_path, capsys, kind, "recover", "--sigma2", "1", "-o", str(out))
+    assert not out.exists()
 
 
 def test_flip_demo_prints_pattern(tmp_path, capsys):

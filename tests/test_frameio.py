@@ -2,9 +2,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_frame
-from framecoh import Frame, FrameParseError, load_flip_demo, read_frame, write_frame
+from conftest import per_entry_frame_text, random_frame
+from framecoh import (
+    CodeFrameSpec,
+    Frame,
+    FrameParseError,
+    build_code_frame,
+    load_flip_demo,
+    read_frame,
+    write_frame,
+)
 from framecoh.fixtures import flip_demo_path
+from framecoh.frameio import _PROBE_TOKENS, _parse_tokens
 
 
 def test_text_round_trip_real_exact(tmp_path):
@@ -49,6 +58,92 @@ def test_text_round_trip_signed_zero_bit_exact(tmp_path, entries, first_tokens):
     write_frame(path, f)
     assert path.read_text().split()[5:9] == first_tokens
     assert np.array_equal(_bits(f.data), _bits(read_frame(path).data))
+
+
+def _repeated_real():
+    # 4 x 6, every column a signed unit vector padded with 0.0 and -0.0
+    cols = [[1.0, 0.0, -0.0, 0.0], [-0.0, -1.0, 0.0, -0.0], [0.6, -0.0, 0.8, 0.0],
+            [0.0, 0.6, -0.0, -0.8], [-0.0, 0.0, 1.0, -0.0], [0.6, -0.0, 0.8, 0.0]]
+    return Frame(np.array(cols).T, normalize=False)
+
+
+def _repeated_complex():
+    # 3 x 5: +/-0.0 in both parts, the smallest subnormal and 1e-300
+    cols = [
+        [complex(0.6, 0.8), complex(-0.0, 0.0), complex(0.0, -0.0)],
+        [complex(-0.0, -0.0), complex(TINY, -1e-300), complex(0.0, 1.0)],
+        [complex(0.6, 0.8), complex(-0.0, 0.0), complex(0.0, -0.0)],
+        [complex(1e-300, -TINY), complex(-0.6, -0.0), complex(-0.0, -0.8)],
+        [complex(-0.0, 0.0), complex(0.0, -0.0), complex(1.0, -0.0)],
+    ]
+    return Frame(np.array(cols).T, normalize=False)
+
+
+def _distinct_probe_then_repeats():
+    # the first 32 columns hold _PROBE_TOKENS distinct entries; the rest repeat them
+    head = random_frame(32, _PROBE_TOKENS // 32, seed=11).data
+    return Frame(np.hstack([head, head[:, :16]]), normalize=False)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_repeated_real, _repeated_complex, lambda: build_code_frame(CodeFrameSpec(4, 1)),
+     _distinct_probe_then_repeats],
+    ids=["real-signed-zeros", "complex-signed-zeros", "code-4-1", "distinct-probe"],
+)
+def test_text_dedupe_bytes_and_bits(tmp_path, make):
+    f = make()
+    path = tmp_path / "d.frame"
+    write_frame(path, f)
+    assert path.read_bytes() == per_entry_frame_text(f)
+    assert np.array_equal(_bits(f.data), _bits(read_frame(path).data))
+
+
+def test_distinct_probe_file_repeats_after_the_probe(tmp_path):
+    # the reader's probe sees no repeat here, so it parses entry by entry
+    path = tmp_path / "p.frame"
+    write_frame(path, _distinct_probe_then_repeats())
+    tokens = path.read_text().split()[5:]
+    assert len(set(tokens[:_PROBE_TOKENS])) == _PROBE_TOKENS
+    assert len(set(tokens)) == _PROBE_TOKENS < len(tokens)
+
+
+def test_parse_tokens_calls_parse_once_per_distinct_token_after_a_probe_repeat():
+    calls = []
+
+    def parse(tok):
+        calls.append(tok)
+        return float(tok)
+
+    distinct = [repr(k + 0.5) for k in range(_PROBE_TOKENS)]
+    assert _parse_tokens(distinct + distinct, parse) == [k + 0.5 for k in range(_PROBE_TOKENS)] * 2
+    assert len(calls) == 2 * _PROBE_TOKENS  # no repeat in the probe: entry by entry
+    calls.clear()
+    tokens = ["1.0", "1.0"] + distinct + distinct
+    assert _parse_tokens(tokens, parse) == list(map(float, tokens))
+    assert sorted(calls) == sorted(set(tokens))  # "1.0" repeats inside the probe
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("1.0\f0.0\f0.0 oops\n", 2),
+        ("1.0\v0.0\v0.0 oops\n", 2),
+        ("1.0\x1c0.0\x1c0.0 oops\n", 2),
+        ("1.0\f0.0\x1c0.0 oops\n", 2),
+        ("1.0\r0.0\r0.0 oops\n", 2),
+        ("1.0 0.0\r\n0.0 oops\r\n", 3),
+        ("1.0\r\n0.0\r\n0.0\r\noops\r\n", 5),
+    ],
+    ids=["form-feed", "vertical-tab", "file-separator", "mixed", "lone-cr", "crlf",
+         "crlf-one-per-line"],
+)
+def test_bad_token_line_counts_newlines_only(tmp_path, body, line):
+    # str.split takes \f, \v, \x1c-\x1e and a lone \r as spaces, so they end no line
+    path = tmp_path / "ws.frame"
+    path.write_bytes(("FRAME v1 2 2 real\n" + body).encode("ascii"))
+    with pytest.raises(FrameParseError, match=f"line {line}: cannot parse real entry 'oops'$"):
+        read_frame(path)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
