@@ -13,8 +13,8 @@ form) and the imaginary sign comes from its sign bit, so both formats
 round-trip bit-exactly for both scalar fields, the sign of zero included.
 
 Structured frames are built from few numbers (a harmonic frame from N roots
-of unity, a code frame from two), so the writer formats each distinct bit
-pattern once and the reader parses each distinct token once; the bytes
+of unity, a code frame from two values), so the writer formats each distinct
+bit pattern once and the reader parses each distinct token once; the bytes
 written and the bits read are those of the per-entry loop.
 """
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .frame import COMPLEX, REAL, Frame
 
 MAGIC = "FRAME"
 VERSION = "v1"
-# the reader builds its token -> value table only if these many leading
-# tokens already repeat one; an all-distinct file is parsed entry by entry
+# the reader builds its token -> value table only if a token repeats among
+# this many leading ones; an all-distinct file is parsed entry by entry
 _PROBE_TOKENS = 1024
 
 
