@@ -48,6 +48,8 @@ from .frame import (
     average_coherence,
     coherence,
     gram,
+    scp1_bound,
+    scp2_bound,
     scp_check,
     spectral_norm,
     worst_case_coherence,
@@ -65,9 +67,11 @@ from .ost import (
     SparseSignal,
     TwoTierAmplitudes,
     check_rsp_bounds,
+    draw_signal,
     floor_sets,
     generate_problem,
     noise_floor_threshold,
+    noise_scale,
     ost_recover,
     ost_threshold,
     ost_trials,

@@ -27,9 +27,11 @@ def _apply_thread_cap():
 
 
 def _print_report(frame, report):
+    from .frame import scp1_bound, scp2_bound
+
     m, n = frame.rows, frame.cols
-    scp1_rhs = 1.0 / (164.0 * math.log(n))
-    scp2_rhs = report.mu / math.sqrt(m)
+    scp1_rhs = scp1_bound(n)
+    scp2_rhs = scp2_bound(report.mu, m)
     print(f"frame: {m} x {n} ({frame.scalar_field})")
     print(f"worst-case coherence mu   = {report.mu:.12g}")
     print(f"average coherence nu      = {report.nu:.12g}")
@@ -120,6 +122,7 @@ def _cmd_recover(args) -> int:
         FlatAmplitudes,
         TwoTierAmplitudes,
         noise_floor_threshold,
+        noise_scale,
         ost_trials,
     )
 
@@ -135,7 +138,7 @@ def _cmd_recover(args) -> int:
     if args.amplitude == "flat":
         law = FlatAmplitudes(alpha)
     else:
-        law = TwoTierAmplitudes(alpha, math.sqrt(2.0 * args.sigma2 * math.log(n)))
+        law = TwoTierAmplitudes(alpha, noise_scale(args.sigma2, n))
 
     seeds = [(trial_seed(args.seed, 2 * i), trial_seed(args.seed, 2 * i + 1))
              for i in range(args.trials)]

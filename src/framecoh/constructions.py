@@ -1,9 +1,9 @@
 """The three frame families: normalized Gaussian, random harmonic, code-based.
 
 Every construction is deterministic given its spec (including seeds), and
-each spec exposes a ``regime_ok`` flag reporting whether the parameters sit
-inside the regime assumed by the corresponding probabilistic geometry
-statement.  The flag is informational, never a precondition.
+the Gaussian and harmonic specs expose the regime lo <= M <= hi assumed by
+their probabilistic geometry statement (``regime_bounds``) and a
+``regime_ok`` flag for it.  The flag is informational, never a precondition.
 """
 from __future__ import annotations
 
@@ -38,10 +38,14 @@ class GaussianFrameSpec:
         if self.cols < 2:
             raise ValueError("cols must be >= 2")
 
-    def regime_ok(self) -> bool:
-        """60 ln N <= M <= (N-1)/(4 ln N), the probabilistic-geometry regime."""
+    def regime_bounds(self) -> tuple[float, float]:
+        """(60 ln N, (N-1)/(4 ln N)): the geometry regime is lo <= M <= hi."""
         ln = math.log(self.cols)
-        return 60.0 * ln <= self.rows <= (self.cols - 1) / (4.0 * ln)
+        return 60.0 * ln, (self.cols - 1) / (4.0 * ln)
+
+    def regime_ok(self) -> bool:
+        lo, hi = self.regime_bounds()
+        return lo <= self.rows <= hi
 
 
 def build_gaussian(spec: GaussianFrameSpec) -> Frame:
@@ -73,9 +77,13 @@ class HarmonicFrameSpec:
         if not 1 <= self.target_rows <= self.dft_size:
             raise ValueError("need 1 <= target_rows <= dft_size")
 
+    def regime_bounds(self) -> tuple[float, float]:
+        """(16 ln N, N/3): the geometry regime is lo <= M <= hi."""
+        return 16.0 * math.log(self.dft_size), self.dft_size / 3.0
+
     def regime_ok(self) -> bool:
-        """16 ln N <= M <= N/3, the probabilistic-geometry regime."""
-        return 16.0 * math.log(self.dft_size) <= self.target_rows <= self.dft_size / 3.0
+        lo, hi = self.regime_bounds()
+        return lo <= self.target_rows <= hi
 
 
 def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:

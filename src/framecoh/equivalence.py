@@ -18,6 +18,9 @@ from .frame import Frame, gram
 #: Exhaustive search over 2^(N-1) sign patterns is refused above this N.
 MAX_ORACLE_COLS = 24
 
+#: Sign patterns the exhaustive oracle scores per block; a power of two.
+_ORACLE_CHUNK = 1 << 11
+
 
 @dataclass(frozen=True)
 class FlipPattern:
@@ -105,7 +108,7 @@ def linear_time_flip(frame: Frame) -> tuple[Frame, FlipPattern]:
     return apply_flip(frame, pattern), pattern
 
 
-def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 11) -> tuple[Frame, FlipPattern, float]:
+def exhaustive_flip_oracle(frame: Frame) -> tuple[Frame, FlipPattern, float]:
     """Minimum average coherence over the whole flipping class.
 
     Enumerates the 2^(N-1) sign patterns with the first sign fixed to +1
@@ -116,11 +119,10 @@ def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 11) -> tuple[Frame, F
     nu(FD) = max_i |s_i (G s)_i - G_ii| / (N-1).
 
     Pattern p has s_j = -1 iff bit j-1 of p is set.  A block scores
-    ``chunk`` consecutive patterns, rounded down to a power of two (and
-    capped at 2^(N-1)), from an N x chunk sign table whose column c is
-    pattern start + c: rows j with 2^(j-1) < chunk alternate in runs of
-    2^(j-1) and are the same in every block, and each higher row is one
-    constant per block.
+    ``_ORACLE_CHUNK`` consecutive patterns (capped at 2^(N-1)) from an
+    N x chunk sign table whose column c is pattern start + c: rows j with
+    2^(j-1) < chunk alternate in runs of 2^(j-1) and are the same in every
+    block, and each higher row is one constant per block.
 
     Guarded at N <= 24; this is the slow reference the linear-time search
     is measured against.
@@ -132,12 +134,10 @@ def exhaustive_flip_oracle(frame: Frame, chunk: int = 1 << 11) -> tuple[Frame, F
         raise ValueError(
             f"exhaustive flip search is guarded at N <= {MAX_ORACLE_COLS}, got N = {n}"
         )
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     g = gram(frame)
     diag = np.real(np.diag(g))[:, None]
     total = 1 << (n - 1)
-    chunk = min(1 << (int(chunk).bit_length() - 1), total)
+    chunk = min(_ORACLE_CHUNK, total)
     low = chunk.bit_length()  # rows 1 .. low-1 alternate inside a block
     signs = np.ones((n, chunk), dtype=g.dtype)
     for j in range(1, low):

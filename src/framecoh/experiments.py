@@ -25,15 +25,12 @@ from .constructions import (
     code_frame_geometry,
 )
 from .equivalence import exhaustive_flip_oracle, linear_time_flip
-from .frame import Frame, coherence, spectral_norm, worst_case_coherence
+from .frame import Frame, coherence, scp1_bound, scp2_bound, spectral_norm, worst_case_coherence
 from .ost import (
     OST_TRIAL_HEADER,
     FlatAmplitudes,
-    NoiseModel,
-    SparseSignal,
-    generate_problem,
+    draw_signal,
     noise_floor_threshold,
-    ost_recover,
     ost_trials,
     sparsity_regime_limit,
     weak_rip_estimate,
@@ -63,6 +60,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     center = (p + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def _gate(hits: int, trials: int, level: float, level_text: str) -> tuple[float, bool, str]:
+    """Frequency, verdict frequency >= level - slack, and summary line of a
+    probabilistic claim; ``level_text`` formats the level ("1 - 10/N = {:.4f}")."""
+    freq = hits / trials
+    slack = 0.05
+    lo, hi = wilson_interval(hits, trials)
+    line = (
+        f"joint frequency {freq:.4f} over {trials} trials; level {level_text.format(level)}, "
+        f"fixed slack {slack}; Wilson 95% [{lo:.4f}, {hi:.4f}]"
+    )
+    return freq, freq >= level - slack, line
 
 
 def _require_trials(**counts: int) -> None:
@@ -110,7 +120,7 @@ class ExperimentReport:
 def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> ExperimentReport:
     """One-sided checks of the three normalized-Gaussian geometry bounds."""
     _require_trials(trials=trials)
-    GaussianFrameSpec(rows, cols)  # rejects bad sizes before the bound arithmetic
+    regime_lo, regime_hi = GaussianFrameSpec(rows, cols).regime_bounds()  # rejects bad sizes
     ln = math.log(cols)
     d_mu = math.sqrt(rows) - math.sqrt(12.0 * ln)
     d_nu = rows - math.sqrt(12.0 * rows * ln)
@@ -132,13 +142,8 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
         hits += ok
         out_rows.append((i, s, mu, nu, sn, ok))
 
-    freq = hits / trials
-    level = 1.0 - 11.0 / cols
-    slack = 0.05
-    lo, hi = wilson_interval(hits, trials)
-    regime_lo = 60.0 * ln
-    regime_hi = (cols - 1) / (4.0 * ln)
-    report = ExperimentReport(
+    freq, passed, gate_line = _gate(hits, trials, 1.0 - 11.0 / cols, "1 - 11/N = {:.4f}")
+    return ExperimentReport(
         experiment="gaussian-geometry",
         header=["trial", "seed", "mu", "nu", "spectral_norm", "ok"],
         rows=out_rows,
@@ -148,22 +153,19 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
             f"{'yes' if regime_lo <= rows else 'NO'}; "
             f"M <= (N-1)/(4 ln N) = {regime_hi:.2f}: {'yes' if rows <= regime_hi else 'NO'} "
             "(both sides are not jointly satisfiable at desk scale)",
-            f"joint frequency {freq:.4f} over {trials} trials; level 1 - 11/N = {level:.4f}, "
-            f"fixed slack {slack}; Wilson 95% [{lo:.4f}, {hi:.4f}]",
+            gate_line,
         ],
-        passed=freq >= level - slack,
-        stats={"frequency": freq, "level": level, "slack": slack, "wilson": (lo, hi)},
+        passed=passed,
+        stats={"frequency": freq},
     )
-    return report
 
 
 def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> ExperimentReport:
     """Unconditional tightness plus the three probabilistic harmonic checks."""
     _require_trials(trials=trials)
     n, m = dft_size, target_rows
-    HarmonicFrameSpec(n, m, seed)  # rejects bad sizes before the bound arithmetic
-    ln = math.log(n)
-    bound_iii = math.sqrt(118.0 * (n - m) * ln / (m * n))
+    spec = HarmonicFrameSpec(n, m, seed)  # rejects bad sizes before the bound arithmetic
+    bound_iii = math.sqrt(118.0 * (n - m) * math.log(n) / (m * n))
     out_rows = []
     hits = 0
     all_tight = True
@@ -179,34 +181,28 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
             all_tight = False
         mu, nu = coherence(frame)
         ok_i = 0.5 * m <= card <= 1.5 * m
-        ok_ii = nu <= mu / math.sqrt(card)
+        ok_ii = nu <= scp2_bound(mu, card)
         ok_iii = mu <= bound_iii
         ok = ok_i and ok_ii and ok_iii
         hits += ok
         out_rows.append((i, s, card, tight_err, mu, nu, ok_i, ok_ii, ok_iii, ok))
 
-    freq = hits / trials
     level = 1.0 - 4.0 / n - 1.0 / n**2
-    slack = 0.05
-    lo, hi = wilson_interval(hits, trials)
-    regime_ok = HarmonicFrameSpec(n, m, 0).regime_ok()
-    report = ExperimentReport(
+    freq, passed, gate_line = _gate(hits, trials, level, "1 - 4/N - 1/N^2 = {:.6f}")
+    return ExperimentReport(
         experiment="harmonic-geometry",
         header=["trial", "seed", "n_rows", "tight_err", "mu", "nu", "i_ok", "ii_ok", "iii_ok", "ok"],
         rows=out_rows,
         summary=[
             f"tightness ||F||_2^2 = N/|rows| held in every trial: "
             f"{'yes' if all_tight else 'NO'} (worst deviation {worst_tight:.3g})",
-            f"regime 16 ln N <= M <= N/3: {'yes' if regime_ok else 'NO'} "
-            f"(16 ln N = {16 * ln:.2f}, M = {m})",
-            f"joint frequency {freq:.4f} over {trials} trials; "
-            f"level 1 - 4/N - 1/N^2 = {level:.6f}, fixed slack {slack}; "
-            f"Wilson 95% [{lo:.4f}, {hi:.4f}]",
+            f"regime 16 ln N <= M <= N/3: {'yes' if spec.regime_ok() else 'NO'} "
+            f"(16 ln N = {spec.regime_bounds()[0]:.2f}, M = {m})",
+            gate_line,
         ],
-        passed=all_tight and freq >= level - slack,
-        stats={"frequency": freq, "level": level, "all_tight": all_tight, "wilson": (lo, hi)},
+        passed=all_tight and passed,
+        stats={"frequency": freq, "all_tight": all_tight},
     )
-    return report
 
 
 def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2))) -> ExperimentReport:
@@ -225,20 +221,18 @@ def run_code_geometry(cases=((4, 1), (5, 1), (6, 1), (6, 2))) -> ExperimentRepor
         sn2, mu, nu = code_frame_geometry(spec)
         norm2_err = abs(sn2 - 2 ** (t * m))
         mu_bound = 1.0 / math.sqrt(2 ** (m - 2 * t - 1))
-        nu_bound = mu / math.sqrt(2**m)
+        nu_bound = scp2_bound(mu, spec.rows)
         # 1e-12 headroom covers float rounding only; the inequalities are exact
         ok = norm2_err <= 1e-9 and mu <= mu_bound + 1e-12 and nu <= nu_bound + 1e-12
         all_ok = all_ok and ok
         out_rows.append((m, t, spec.rows, spec.cols, norm2_err, mu, mu_bound, nu, nu_bound, ok))
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="code-geometry",
         header=["m", "t", "rows", "cols", "norm2_err", "mu", "mu_bound", "nu", "nu_bound", "ok"],
         rows=out_rows,
         summary=[f"checked {len(out_rows)} (m, t) cases; every claim is deterministic"],
         passed=all_ok,
-        stats={"cases": len(out_rows)},
     )
-    return report
 
 
 def run_flip_guarantee(
@@ -260,7 +254,7 @@ def run_flip_guarantee(
         frame = build_gaussian(GaussianFrameSpec(rows, cols, s))
         flipped, _ = linear_time_flip(frame)
         mu, nu = coherence(flipped)
-        bound = mu / math.sqrt(rows)
+        bound = scp2_bound(mu, rows)
         ok = nu <= bound + 1e-12
         greedy_ok += ok
         out_rows.append(("greedy", i, s, mu, nu, bound, None, ok))
@@ -274,10 +268,9 @@ def run_flip_guarantee(
         _, _, min_nu = exhaustive_flip_oracle(frame)
         ok = min_nu <= alg_nu + 1e-9
         oracle_ok += ok
-        out_rows.append(("oracle", i, s, mu, alg_nu, mu / math.sqrt(oracle_rows), min_nu, ok))
+        out_rows.append(("oracle", i, s, mu, alg_nu, scp2_bound(mu, oracle_rows), min_nu, ok))
 
-    passed = greedy_ok == trials and oracle_ok == oracle_trials
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="flip-guarantee",
         header=["phase", "trial", "seed", "mu", "nu_flipped", "bound", "oracle_min_nu", "ok"],
         rows=out_rows,
@@ -287,10 +280,9 @@ def run_flip_guarantee(
             f"exhaustive minimum <= greedy value: {oracle_ok}/{oracle_trials} "
             f"at M={oracle_rows}, N={oracle_cols}",
         ],
-        passed=passed,
+        passed=greedy_ok == trials and oracle_ok == oracle_trials,
         stats={"greedy_ok": greedy_ok, "oracle_ok": oracle_ok},
     )
-    return report
 
 
 def run_weak_rip(
@@ -312,9 +304,7 @@ def run_weak_rip(
     # orthonormal basis: energy is preserved exactly; delta stands in for 0
     # with just enough room for float rounding
     basis = Frame._own(np.eye(orth_dim), normalize=False)
-    rng = np.random.default_rng(trial_seed(seed, 0))
-    support = np.sort(rng.choice(orth_dim, orth_k, replace=False))
-    x0 = SparseSignal(orth_dim, support, np.exp(2j * np.pi * rng.random(orth_k)))
+    x0 = draw_signal(orth_dim, orth_k, FlatAmplitudes(1.0), trial_seed(seed, 0))
     rate0 = weak_rip_estimate(basis, x0, delta=1e-12, trials=trials, seed=trial_seed(seed, 1))
     ok0 = rate0 == 0.0
     out_rows.append(("orthonormal", trials, int(round(rate0 * trials)), rate0, 0.0, 0.0, ok0))
@@ -329,9 +319,7 @@ def run_weak_rip(
     if 2 * code_k * ln > frame.rows:
         raise ValueError("2 K ln N exceeds M; pick a smaller K")
     delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)
-    rng = np.random.default_rng(trial_seed(seed, 2))
-    support = np.sort(rng.choice(n, code_k, replace=False))
-    x1 = SparseSignal(n, support, np.exp(2j * np.pi * rng.random(code_k)))
+    x1 = draw_signal(n, code_k, FlatAmplitudes(1.0), trial_seed(seed, 2))
     rate1 = weak_rip_estimate(frame, x1, delta=delta, trials=trials, seed=trial_seed(seed, 3))
     bound = 4.0 * code_k / n**2
     k_viol = int(round(rate1 * trials))
@@ -339,26 +327,24 @@ def run_weak_rip(
     slack = hi - rate1
     ok1 = rate1 <= bound + slack
     out_rows.append(("code", trials, k_viol, rate1, bound, hi, ok1))
-    scp1 = mu <= 1.0 / (164.0 * ln)
+    scp1 = scp1_bound(n)
     summary.append(
         f"code frame (m={code_m}, t={code_t}): mu = {mu:.4f}, delta = {delta:.3f} "
         f"(regime-coupled), K = {code_k}; violation rate {rate1:.2e} vs "
         f"bound 4K/N^2 = {bound:.2e} + Wilson slack {slack:.2e}"
     )
     summary.append(
-        f"note: mu <= 1/(164 ln N) = {1.0 / (164.0 * ln):.2e} is "
-        f"{'met' if scp1 else 'NOT met (unattainable at desk scale; see README)'}"
+        f"note: mu <= 1/(164 ln N) = {scp1:.2e} is "
+        f"{'met' if mu <= scp1 else 'NOT met (unattainable at desk scale; see README)'}"
     )
-
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="weak-rip",
         header=["phase", "trials", "violations", "rate", "bound", "wilson_hi", "ok"],
         rows=out_rows,
         summary=summary,
         passed=ok0 and ok1,
-        stats={"orthonormal_rate": rate0, "code_rate": rate1, "delta": delta, "mu": mu},
+        stats={"orthonormal_rate": rate0, "code_rate": rate1},
     )
-    return report
 
 
 def run_ost_recovery(
@@ -392,34 +378,20 @@ def run_ost_recovery(
     seeds = [(trial_seed(seed, 2 * i + 1), trial_seed(seed, 2 * i + 2)) for i in range(trials)]
     out_rows = ost_trials(frame, k, law, sigma2, t_param, mu, seeds, lam=None, snr=None)
     _, _, khat_sizes, exact, _, _, ok = zip(*out_rows)
-    hits = sum(ok)
-    exact_count = sum(exact)
-
-    freq = hits / trials
-    level = 1.0 - 10.0 / cols
-    slack = 0.05
-    lo, hi = wilson_interval(hits, trials)
+    freq, passed, gate_line = _gate(sum(ok), trials, 1.0 - 10.0 / cols, "1 - 10/N = {:.4f}")
 
     # noiseless orthonormal sanity: any threshold below the smallest magnitude
-    # recovers the signal exactly
+    # (1) recovers the signal exactly; row[3] is exact_support, row[4] l2_error
     basis = Frame._own(np.eye(sanity_dim), normalize=False)
-    sanity_ok = 0
-    for i in range(sanity_trials):
-        x, y = generate_problem(
-            basis,
-            min(k, sanity_dim),
-            FlatAmplitudes(1.0),
-            NoiseModel(0.0, seed=0),
-            seed=trial_seed(seed ^ 0xABCD, i),
-        )
-        res = ost_recover(basis, y, lam=0.5)
-        if np.array_equal(res.support_estimate, x.support) and np.linalg.norm(
-            x.dense() - res.signal_estimate
-        ) <= 1e-12 * x.norm():
-            sanity_ok += 1
+    k0 = min(k, sanity_dim)
+    sanity_seeds = [(trial_seed(seed ^ 0xABCD, i), 0) for i in range(sanity_trials)]
+    sanity_rows = ost_trials(
+        basis, k0, FlatAmplitudes(1.0), 0.0, t_param, 0.0, sanity_seeds, lam=0.5, snr=None
+    )
+    sanity_ok = sum(row[3] and row[4] <= 1e-12 * math.sqrt(k0) for row in sanity_rows)
 
     regime_limit = sparsity_regime_limit(cols, sn)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="ost-recovery",
         header=list(OST_TRIAL_HEADER),
         rows=out_rows,
@@ -431,23 +403,15 @@ def run_ost_recovery(
             f"{'< 1: attainable' if mu_floor_coeff < 1 else '>= 1: NOT attainable at desk scale'} "
             "(the prescribed threshold formula is conservative; see README)",
             f"mean |Khat| = {np.mean(khat_sizes):.2f}; exact support recovered in "
-            f"{exact_count}/{trials} trials (informational)",
+            f"{sum(exact)}/{trials} trials (informational)",
             f"sparsity regime K <= N/(c1^2 ||F||_2^2 ln N) = {regime_limit:.4f}: "
             f"{'yes' if k <= regime_limit else 'NO (desk-scale constants; documented)'}",
-            f"joint frequency {freq:.4f} over {trials} trials; level 1 - 10/N = {level:.4f}, "
-            f"fixed slack {slack}; Wilson 95% [{lo:.4f}, {hi:.4f}]",
+            gate_line,
             f"noiseless orthonormal sanity: exact recovery in {sanity_ok}/{sanity_trials}",
         ],
-        passed=(freq >= level - slack) and sanity_ok == sanity_trials,
-        stats={
-            "frequency": freq,
-            "level": level,
-            "sanity_ok": sanity_ok,
-            "mu": mu,
-            "mean_khat": float(np.mean(khat_sizes)),
-        },
+        passed=passed and sanity_ok == sanity_trials,
+        stats={"frequency": freq, "sanity_ok": sanity_ok},
     )
-    return report
 
 
 def run_bounds_figure(spatial_dim=3, n_min=None, n_max=55) -> ExperimentReport:
@@ -471,15 +435,13 @@ def run_bounds_figure(spatial_dim=3, n_min=None, n_max=55) -> ExperimentReport:
         summary.append(f"M=2 reduction to cos(pi/N): worst deviation {worst:.3g}")
     else:
         summary.append("no ordering claim checked for this M; table emitted")
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="bounds-figure",
         header=table.CSV_HEADER.split(","),
         rows=rows,
         summary=summary,
         passed=passed,
-        stats={"n_rows": len(rows)},
     )
-    return report
 
 
 RUNNERS = {

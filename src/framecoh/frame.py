@@ -311,15 +311,23 @@ def spectral_norm(frame: Frame, tol: float = 1e-10) -> float:
         basis.append(w / beta)
 
 
-def scp_check(frame: Frame, tol: float = 1e-10) -> CoherenceReport:
-    """Coherence report with the two strong-coherence verdicts.
+def scp1_bound(n: int) -> float:
+    """1/(164 ln N), natural log (see README): SCP-1 is mu <= this."""
+    return 1.0 / (164.0 * math.log(n))
 
-    mu and nu come from `coherence`, so no frame forms the N x N Gram.  The
-    first verdict compares mu against 1/(164 ln N) -- natural log, see
-    README -- and the second compares nu against mu/sqrt(M).
+
+def scp2_bound(mu: float, m: int) -> float:
+    """mu/sqrt(M): SCP-2 is nu <= this."""
+    return mu / math.sqrt(m)
+
+
+def scp_check(frame: Frame) -> CoherenceReport:
+    """Coherence report with the two strong-coherence verdicts (SCP-1, SCP-2).
+
+    mu and nu come from `coherence`, so no frame forms the N x N Gram.
     """
     mu, nu = coherence(frame)
-    sn = spectral_norm(frame, tol)
-    scp1 = mu <= 1.0 / (164.0 * math.log(frame.cols))
-    scp2 = nu <= mu / math.sqrt(frame.rows)
+    sn = spectral_norm(frame)
+    scp1 = mu <= scp1_bound(frame.cols)
+    scp2 = nu <= scp2_bound(mu, frame.rows)
     return CoherenceReport(mu=mu, nu=nu, spectral_norm=sn, scp1=scp1, scp2=scp2)

@@ -119,11 +119,14 @@ def _parse_tokens(tokens: list, parse) -> list:
 
 
 def _first_bad_entry(text: str, parse) -> tuple[int, str]:
-    """File line number and token of the first entry ``parse`` rejects."""
+    """File line number and token of the first entry ``parse`` rejects or
+    that holds an underscore."""
     # lines end at "\n" only, as for the header; str.splitlines would also
     # break at \v, \f, \x1c-\x1e and a lone \r, which str.split takes as spaces
     for lineno, line in enumerate(text.split("\n"), start=2):
         for tok in line.split():
+            if "_" in tok:
+                return lineno, tok
             try:
                 parse(tok)
             except ValueError:
@@ -172,6 +175,8 @@ def read_frame(path) -> Frame:
         raise FrameParseError(f"{path}: expected {count} entries, found {len(tokens)}")
     parse, dtype = (_parse_complex, np.complex128) if field == COMPLEX else (float, np.float64)
     try:
+        if "_" in text:  # float() and complex() accept '1_0.0'; repr never writes it
+            raise ValueError
         flat = np.array(_parse_tokens(tokens, parse), dtype=dtype)
     except ValueError:
         lineno, tok = _first_bad_entry(text, parse)

@@ -114,23 +114,24 @@ class TwoTierAmplitudes:
         return mags * np.exp(2j * np.pi * rng.random(k))
 
 
-def generate_problem(
-    frame: Frame, k: int, amplitude_law, noise: NoiseModel, seed: int
-) -> tuple[SparseSignal, np.ndarray]:
-    """Draw a K-sparse signal (support uniform over K-subsets) and measure it.
-
-    Returns (x, y) with y = F x + e; deterministic given ``seed`` and
-    ``noise.seed``.
-    """
-    n = frame.cols
+def draw_signal(n: int, k: int, amplitude_law, seed: int) -> SparseSignal:
+    """K-sparse length-N signal: support uniform over K-subsets, then values
+    from ``amplitude_law``, both from one generator seeded with ``seed``."""
     if k < 0:
         raise ValueError(f"K must be >= 0, got {k}")
     if k > n:
         raise ValueError(f"sparsity K = {k} exceeds the signal length N = {n}")
     rng = np.random.default_rng(seed)
     support = np.sort(rng.choice(n, size=k, replace=False))
-    values = amplitude_law.sample(rng, k)
-    x = SparseSignal(length=n, support=support, values=values)
+    return SparseSignal(length=n, support=support, values=amplitude_law.sample(rng, k))
+
+
+def generate_problem(
+    frame: Frame, k: int, amplitude_law, noise: NoiseModel, seed: int
+) -> tuple[SparseSignal, np.ndarray]:
+    """(x, y) with x from :func:`draw_signal` and y = F x + e; deterministic
+    given ``seed`` and ``noise.seed``."""
+    x = draw_signal(frame.cols, k, amplitude_law, seed)
     e = noise.sample(frame.rows)
     y = frame.data @ x.dense() + e
     return x, y
@@ -141,6 +142,11 @@ def snr_of(x: SparseSignal, m: int, sigma2: float) -> float:
     return x.norm() ** 2 / (m * sigma2)
 
 
+def noise_scale(sigma2: float, n: int) -> float:
+    """sqrt(2 sigma^2 ln N), the scale of the largest of N noise proxies."""
+    return math.sqrt(2.0 * sigma2 * math.log(n))
+
+
 def ost_threshold(mu: float, m: int, snr: float, sigma2: float, n: int, t: float) -> float:
     """Threshold sqrt(2 sigma^2 ln N) * max((10/t) mu sqrt(M snr), sqrt(2)/(1-t))."""
     if not 0.0 < t < 1.0:
@@ -149,8 +155,8 @@ def ost_threshold(mu: float, m: int, snr: float, sigma2: float, n: int, t: float
         raise ValueError("sigma2 must be positive")
     if not (snr >= 0 and math.isfinite(snr)):
         raise ValueError(f"snr must be a nonnegative finite number, got {snr!r}")
-    base = math.sqrt(2.0 * sigma2 * math.log(n))
-    return base * max((10.0 / t) * mu * math.sqrt(m * snr), math.sqrt(2.0) / (1.0 - t))
+    coeff = max((10.0 / t) * mu * math.sqrt(m * snr), math.sqrt(2.0) / (1.0 - t))
+    return noise_scale(sigma2, n) * coeff
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,7 @@ def noise_floor_threshold(sigma2: float, n: int, t: float) -> float:
     """Magnitude above which an entry clears the noise floor set."""
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly inside (0, 1)")
-    return (2.0 * math.sqrt(2.0) / (1.0 - t)) * math.sqrt(2.0 * sigma2 * math.log(n))
+    return (2.0 * math.sqrt(2.0) / (1.0 - t)) * noise_scale(sigma2, n)
 
 
 def sparsity_regime_limit(n: int, spectral_norm: float) -> float:

@@ -133,6 +133,12 @@ def _bad_file(kind, path):
         toks[1100] = "1.0e"
         columns = [" ".join(toks[32 * c : 32 * c + 32]) for c in range(40)]
         path.write_text("FRAME v1 32 40 real\n" + "\n".join(columns) + "\n")
+    elif kind == "underscore":
+        # float() reads '1_0.0e-1' as 1.0, so the frame would stay unit-norm
+        path.write_text("FRAME v1 8 8 real\n" + _identity_body(repr, (4,), "1_0.0e-1"))
+    elif kind == "underscore-complex":
+        path.write_text("FRAME v1 8 8 complex\n"
+                        + _identity_body(lambda x: f"{x!r}+0.0i", (4,), "1_0.0e-1+0.0i"))
     elif kind == "too-few":
         path.write_text("FRAME v1 2 2 real\n1.0 0.0 0.0\n")
     elif kind == "empty":
@@ -155,6 +161,8 @@ BAD_FILE_MESSAGES = {
     "bad-complex": "{path}: line 8: cannot parse complex entry '0.0+0.0'",
     "bad-repeated": "{path}: line 5: cannot parse real entry '0.0.1'",
     "bad-after-probe": "{path}: line 36: cannot parse real entry '1.0e'",
+    "underscore": "{path}: line 4: cannot parse real entry '1_0.0e-1'",
+    "underscore-complex": "{path}: line 4: cannot parse complex entry '1_0.0e-1+0.0i'",
     "too-few": "{path}: expected 4 entries, found 3",
     "empty": "{path}: line 1: missing header line",
     "non-ascii": "{path}: body is not ASCII text",

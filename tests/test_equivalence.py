@@ -12,6 +12,7 @@ from framecoh import (
     apply_flip,
     apply_wiggle,
     average_coherence,
+    equivalence,
     exhaustive_flip_oracle,
     linear_time_flip,
     load_flip_demo,
@@ -226,25 +227,24 @@ class TestExhaustiveOracle:
         f = random_frame(2, 25, seed=1)
         with pytest.raises(ValueError, match="guarded at N <= 24"):
             exhaustive_flip_oracle(f)
-        with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
-            exhaustive_flip_oracle(random_frame(2, 4, seed=1), chunk=0)
 
-    def test_chunking_consistent(self):
-        # chunk=17 is not a power of two; the oracle rounds it down to 16
+    def test_chunking_consistent(self, monkeypatch):
         f = random_frame(3, 11, seed=12)
         full = exhaustive_flip_oracle(f)
-        small = exhaustive_flip_oracle(f, chunk=17)
+        monkeypatch.setattr(equivalence, "_ORACLE_CHUNK", 16)
+        small = exhaustive_flip_oracle(f)
         assert full[2] == small[2]
         assert full[1].to_string() == small[1].to_string()
 
     @pytest.mark.parametrize("m, n, seed, complex_, nu_hex, pattern", FROZEN_ORACLE)
-    def test_oracle_bits_frozen(self, m, n, seed, complex_, nu_hex, pattern):
+    def test_oracle_bits_frozen(self, m, n, seed, complex_, nu_hex, pattern, monkeypatch):
         f = random_frame(m, n, seed=seed, complex_=complex_)
         _, found, min_nu = exhaustive_flip_oracle(f)
         assert min_nu.hex() == nu_hex
         assert found.to_string() == pattern
         # any block size scores the same patterns with the same arithmetic
-        _, found, min_nu = exhaustive_flip_oracle(f, chunk=100)
+        monkeypatch.setattr(equivalence, "_ORACLE_CHUNK", 64)
+        _, found, min_nu = exhaustive_flip_oracle(f)
         assert (min_nu.hex(), found.to_string()) == (nu_hex, pattern)
 
 

@@ -20,6 +20,8 @@ from framecoh import (
     gram,
     harmonic_frame_from_rows,
     load_flip_demo,
+    scp1_bound,
+    scp2_bound,
     scp_check,
     spectral_norm,
     worst_case_coherence,
@@ -261,3 +263,11 @@ class TestScpCheck:
     def test_single_vector_propagates(self):
         with pytest.raises(ValueError, match="single vector"):
             scp_check(Frame(np.ones((2, 1))))
+
+    def test_verdicts_use_the_bound_functions(self):
+        assert scp1_bound(512) == 1.0 / (164.0 * math.log(512))
+        assert scp2_bound(0.5, 4) == 0.25
+        for frame in (load_flip_demo(), random_frame(4, 30, seed=3)):
+            report = scp_check(frame)
+            assert report.scp1 == (report.mu <= scp1_bound(frame.cols))
+            assert report.scp2 == (report.nu <= scp2_bound(report.mu, frame.rows))

@@ -1,5 +1,5 @@
-"""Frozen SHA-256 digests of every experiment CSV, the CLI's CSV files and
-the frame files `write_frame` and `framecoh flip` produce.
+"""Frozen SHA-256 digests of every experiment CSV and summary, the CLI's CSV
+files and the frame files `write_frame` and `framecoh flip` produce.
 
 A digest moves when any byte of its file moves, so refactors must leave
 every value here unchanged.  A change that alters a CSV or a frame file on
@@ -52,12 +52,31 @@ RUNNER_DIGESTS = {
 }
 
 
+# digests of `summary_text()`, the lines `framecoh experiment` prints
+SUMMARY_DIGESTS = {
+    "bounds-figure": "afa215287d0ad954ee7735dfe75423fdc49117ef76cd475aaa0b8e856b065838",
+    "code-geometry": "6430a32bfde40b40a92e161d3cff44752b519b9bec02abcec9efc0ea48936550",
+    "flip-guarantee": "9b38936718a12e22df02915d1b5d74ecaab762cfb95f95842a615ae043f41b59",
+    "gaussian-geometry": "2f7c2475347b09f91a8f5c91f9a16ee2aa59142880c2ae701031b817fe5b3ff4",
+    "harmonic-geometry": "ecac0e4af67caf2f2a417782d81c603068bcbdf61bf167f8762a5bf97f9b3c5a",
+    "ost-recovery": "7efdfced3843d809ae4d2e3f0e28cbcc3cda912dd68da38846dc6e9837f4dc12",
+    "weak-rip": "5e4156abc6afb68facb8a0b8ca6390e61e67e55b16cb2a03e6afe2b772427ada",
+}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # empty-selection reseeds
 @pytest.mark.parametrize("name", sorted(RUNNER_CASES))
 def test_runner_csv_digest(name):
     report = run_experiment(name, **RUNNER_CASES[name])
     assert report.passed
     assert _digest(report.csv_text()) == RUNNER_DIGESTS[name]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # empty-selection reseeds
+@pytest.mark.parametrize("name", sorted(RUNNER_CASES))
+def test_runner_summary_digest(name):
+    report = run_experiment(name, **RUNNER_CASES[name])
+    assert _digest(report.summary_text()) == SUMMARY_DIGESTS[name]
 
 
 def _frames():

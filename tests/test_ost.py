@@ -22,10 +22,12 @@ from framecoh import (
     build_gaussian,
     build_harmonic,
     check_rsp_bounds,
+    draw_signal,
     floor_sets,
     generate_problem,
     harmonic_frame_from_rows,
     noise_floor_threshold,
+    noise_scale,
     ost_recover,
     ost_threshold,
     ost_trials,
@@ -90,6 +92,24 @@ class TestGenerateProblem:
         f = random_frame(4, 6, seed=1)
         with pytest.raises(ValueError, match="exceeds"):
             generate_problem(f, 7, FlatAmplitudes(1.0), NoiseModel(1.0), seed=0)
+
+    @pytest.mark.parametrize("n, k, seed", [(32, 2, 1), (256, 4, 7), (4096, 2, 99), (5, 0, 3)])
+    def test_draw_signal_rng_order(self, n, k, seed):
+        # support first, then phases, from one generator; a unit flat law multiplies by 1.0
+        rng = np.random.default_rng(seed)
+        support = np.sort(rng.choice(n, k, replace=False))
+        values = np.exp(2j * np.pi * rng.random(k))
+        x = draw_signal(n, k, FlatAmplitudes(1.0), seed)
+        assert np.array_equal(x.support, support)
+        assert x.values.tobytes() == values.tobytes()
+
+    def test_generate_problem_draws_with_draw_signal(self):
+        f = random_frame(6, 40, seed=2)
+        law = TwoTierAmplitudes(3.0, 0.5)
+        x, _ = generate_problem(f, 5, law, NoiseModel(0.5, seed=1), seed=8)
+        y = draw_signal(40, 5, law, 8)
+        assert np.array_equal(x.support, y.support)
+        assert x.values.tobytes() == y.values.tobytes()
 
     def test_two_tier_magnitudes(self):
         law = TwoTierAmplitudes(alpha=8.0, low=0.5)
@@ -221,6 +241,7 @@ class TestFloors:
         assert list(fs) == [i for i in range(n) if abs(x[i]) > tau_s]
         assert list(fm) == [i for i in range(n) if abs(x[i]) > tau_m]
         assert noise_floor_threshold(sigma2, n, t) == pytest.approx(tau_s, rel=1e-14)
+        assert noise_scale(sigma2, n) == math.sqrt(2.0 * sigma2 * math.log(n))
 
     def test_t_validation(self):
         with pytest.raises(ValueError):
