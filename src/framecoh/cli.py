@@ -3,32 +3,53 @@
 Exit codes: 0 on success/pass, 1 when an experiment's gate fails, 2 for
 usage, configuration, or input-file errors, and for a frame too large for
 the memory a command needs (for example a frame file whose entries do not
-fit in memory once read).  Apart from argparse's usage errors, an exit 2
-prints one ``error: ...`` line to stderr and no traceback.
-
-The environment variable FRAMECOH_THREADS caps BLAS parallelism; it is
-applied before numpy is imported, so it only takes effect when the CLI
-starts in a fresh process.
+fit in memory once read).  An exit 2 prints one ``error: ...`` line to
+stderr, no traceback and nothing on stdout; the exceptions are argparse's
+own usage errors: an unknown flag or subcommand, a missing argument, a
+value outside a flag's choices, and a malformed value for a typed flag of
+``construct``, ``recover`` or ``bounds``.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
+from . import constructions
+from .bounds import bound_table
+from .equivalence import linear_time_flip
+from .experiments import ExperimentReport, run_experiment, trial_seed, wilson_interval
+from .frame import average_coherence, scp1_bound, scp2_bound, scp_check, worst_case_coherence
+from .frameio import default_frame_name, read_frame, write_frame
+from .ost import (
+    OST_TRIAL_HEADER,
+    FlatAmplitudes,
+    TwoTierAmplitudes,
+    noise_floor_threshold,
+    noise_scale,
+    ost_trials,
+)
 
-def _apply_thread_cap():
-    cap = os.environ.get("FRAMECOH_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+
+def _write_text(path, text):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def _parse(key, text, cast):
+    """``cast(text)``; a value it rejects raises a ValueError that names ``key``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {cast.__name__}, got {text!r}") from None
+
+
+def bitmask(text):
+    """An integer literal in any base Python reads: 0x13, 0b10011 or 19."""
+    return int(text, 0)
 
 
 def _print_report(frame, report):
-    from .frame import scp1_bound, scp2_bound
-
     m, n = frame.rows, frame.cols
     scp1_rhs = scp1_bound(n)
     scp2_rhs = scp2_bound(report.mu, m)
@@ -52,10 +73,7 @@ def _report_csv(frame, report) -> str:
 
 
 def _cmd_construct(args) -> int:
-    from . import constructions
-    from .frame import scp_check
-    from .frameio import default_frame_name, write_frame
-
+    poly = None if args.poly is None else _parse("--poly", args.poly, bitmask)
     if args.family == "gaussian":
         spec = constructions.GaussianFrameSpec(args.M, args.N, args.seed)
         frame = constructions.build_gaussian(spec)
@@ -66,7 +84,7 @@ def _cmd_construct(args) -> int:
         frame, kept = constructions.build_harmonic(spec)
         stem = f"harmonic_{args.N}_rows{args.M}_seed{args.seed}"
     else:  # code
-        spec = constructions.CodeFrameSpec(args.m, args.t, args.poly)
+        spec = constructions.CodeFrameSpec(args.m, args.t, poly)
         frame = constructions.build_code_frame(spec)
         kept = None
         stem = f"code_m{args.m}_t{args.t}"
@@ -81,51 +99,31 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .frame import scp_check
-    from .frameio import read_frame
-
     frame = read_frame(args.frame)
     report = scp_check(frame)
+    if args.csv:
+        _write_text(args.csv, _report_csv(frame, report))
     _print_report(frame, report)
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(_report_csv(frame, report))
         print(f"wrote CSV report to {args.csv}")
     return 0
 
 
 def _cmd_flip(args) -> int:
-    from .equivalence import linear_time_flip
-    from .frame import average_coherence
-    from .frameio import read_frame, write_frame
-
     frame = read_frame(args.frame)
     flipped, pattern = linear_time_flip(frame)
     out = args.output or (str(args.frame) + ".flipped")
     write_frame(out, flipped, binary=args.binary)
+    if args.pattern_out:
+        _write_text(args.pattern_out, pattern.to_string() + "\n")
     print(pattern.to_string())
     print(f"average coherence: {average_coherence(frame):.12g} -> "
           f"{average_coherence(flipped):.12g}")
     print(f"wrote flipped frame to {out}")
-    if args.pattern_out:
-        with open(args.pattern_out, "w", encoding="ascii") as fh:
-            fh.write(pattern.to_string() + "\n")
     return 0
 
 
 def _cmd_recover(args) -> int:
-    from .experiments import ExperimentReport, trial_seed, wilson_interval
-    from .frame import worst_case_coherence
-    from .frameio import read_frame
-    from .ost import (
-        OST_TRIAL_HEADER,
-        FlatAmplitudes,
-        TwoTierAmplitudes,
-        noise_floor_threshold,
-        noise_scale,
-        ost_trials,
-    )
-
     if not (args.sigma2 > 0 and math.isfinite(args.sigma2)):
         raise ValueError(f"--sigma2 must be a positive number, got {args.sigma2!r}")
     if args.trials < 1:
@@ -147,8 +145,7 @@ def _cmd_recover(args) -> int:
     hits = sum(row[-1] for row in rows)
     text = ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text()
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
         print(f"wrote per-trial CSV to {args.output}")
     else:
         sys.stdout.write(text)
@@ -158,13 +155,10 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import bound_table
-
     table = bound_table(args.M, range(args.nmin, args.nmax + 1))
     text = table.to_csv()
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
         print(f"wrote bound table to {args.output}")
     else:
         sys.stdout.write(text)
@@ -178,22 +172,28 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-_EXPERIMENT_PARAMS = {
-    "gaussian-geometry": {"M": ("rows", int), "N": ("cols", int),
-                          "trials": ("trials", int), "seed": ("seed", int)},
-    "harmonic-geometry": {"N": ("dft_size", int), "M": ("target_rows", int),
-                          "trials": ("trials", int), "seed": ("seed", int)},
-    "code-geometry": {"m": ("m", int), "t": ("t", int)},
-    "flip-guarantee": {"M": ("rows", int), "N": ("cols", int),
-                       "trials": ("trials", int), "seed": ("seed", int)},
-    "weak-rip": {"trials": ("trials", int), "seed": ("seed", int),
-                 "m": ("code_m", int), "t": ("code_t", int), "K": ("code_k", int)},
-    "ost-recovery": {"M": ("rows", int), "N": ("cols", int), "K": ("k", int),
-                     "sigma2": ("sigma2", float), "t_param": ("t_param", float),
-                     "alpha_factor": ("amp_factor", float),
-                     "trials": ("trials", int), "seed": ("seed", int)},
-    "bounds-figure": {"M": ("spatial_dim", int), "nmin": ("n_min", int),
-                      "nmax": ("n_max", int)},
+#: Each experiment key's cast, the same in every experiment that takes it.
+#: The ``experiment`` subcommand has one flag per key: -K for a one-letter
+#: key, --t-param for t_param.
+_KEY_CASTS = {
+    "M": int, "N": int, "m": int, "t": int, "K": int,
+    "sigma2": float, "t_param": float, "alpha_factor": float,
+    "nmin": int, "nmax": int, "trials": int, "seed": int,
+}
+
+#: Each experiment's keys and the runner keyword each one sets.
+_EXPERIMENT_KEYS = {
+    "gaussian-geometry": {"M": "rows", "N": "cols", "trials": "trials", "seed": "seed"},
+    "harmonic-geometry": {"N": "dft_size", "M": "target_rows", "trials": "trials",
+                          "seed": "seed"},
+    "code-geometry": {"m": "m", "t": "t"},
+    "flip-guarantee": {"M": "rows", "N": "cols", "trials": "trials", "seed": "seed"},
+    "weak-rip": {"trials": "trials", "seed": "seed", "m": "code_m", "t": "code_t",
+                 "K": "code_k"},
+    "ost-recovery": {"M": "rows", "N": "cols", "K": "k", "sigma2": "sigma2",
+                     "t_param": "t_param", "alpha_factor": "amp_factor",
+                     "trials": "trials", "seed": "seed"},
+    "bounds-figure": {"M": "spatial_dim", "nmin": "n_min", "nmax": "n_max"},
 }
 
 
@@ -213,30 +213,25 @@ def read_config_file(path) -> dict:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import RUNNERS, run_experiment
-
-    name = args.id
+    # every flag given is cast, also one that the experiment ignores
+    flags = {key: _parse(key, getattr(args, key), cast)
+             for key, cast in _KEY_CASTS.items() if getattr(args, key) is not None}
     file_values = read_config_file(args.config) if args.config else {}
-    if "experiment" in file_values:
-        name = name or file_values["experiment"]
-    if name not in RUNNERS:
-        known = ", ".join(sorted(RUNNERS))
-        raise ValueError(f"unknown experiment {name!r}; expected one of: {known}")
+    name = args.id or file_values.get("experiment")
+    if name not in _EXPERIMENT_KEYS:
+        run_experiment(name)  # raises the unknown-experiment error
 
-    mapping = _EXPERIMENT_PARAMS[name]
-    unknown = sorted(set(file_values) - set(mapping) - {"experiment"})
+    keys = _EXPERIMENT_KEYS[name]
+    unknown = sorted(set(file_values) - set(keys) - {"experiment"})
     if unknown:
-        valid = ", ".join(sorted([*mapping, "experiment"]))
+        valid = ", ".join(sorted([*keys, "experiment"]))
         raise ValueError(
             f"{args.config}: unknown key(s) {', '.join(unknown)} for {name}; valid keys: {valid}"
         )
-    params = {}
-    for key, (kw, cast) in mapping.items():
-        if key in file_values:
-            params[kw] = cast(file_values[key])
-        flag = getattr(args, key, None)
-        if flag is not None:
-            params[kw] = cast(flag)
+    values = {key: _parse(key, file_values[key], _KEY_CASTS[key])
+              for key in keys if key in file_values}
+    values.update(flags)
+    params = {kw: values[key] for key, kw in keys.items() if key in values}
     if name == "code-geometry" and ("m" in params or "t" in params):
         m = params.pop("m", 4)
         t = params.pop("t", 1)
@@ -244,8 +239,7 @@ def _cmd_experiment(args) -> int:
 
     report = run_experiment(name, **params)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(report.csv_text())
+        _write_text(args.output, report.csv_text())
     sys.stdout.write(report.summary_text())
     return 0 if report.passed else 1
 
@@ -264,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", type=int, default=256, help="columns (gaussian) / DFT size (harmonic)")
     p.add_argument("-m", type=int, default=4, help="field exponent (code)")
     p.add_argument("-t", type=int, default=1, help="tuple length minus one (code)")
-    p.add_argument("--poly", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--poly", default=None,
                    help="irreducible modulus bitmask (code); default is the frozen table")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
@@ -311,18 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?", default=None,
                    help="experiment name (may come from the config file instead)")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("-M", type=int, default=None)
-    p.add_argument("-N", type=int, default=None)
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-t", type=int, default=None)
-    p.add_argument("-K", type=int, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--t-param", dest="t_param", type=float, default=None)
-    p.add_argument("--alpha-factor", dest="alpha_factor", type=float, default=None)
-    p.add_argument("--nmin", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for key in _KEY_CASTS:
+        p.add_argument("-" + key if len(key) == 1 else "--" + key.replace("_", "-"), dest=key)
     p.add_argument("-o", "--output", default=None, help="per-trial CSV path")
     p.set_defaults(func=_cmd_experiment)
 
@@ -330,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

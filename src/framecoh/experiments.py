@@ -296,8 +296,15 @@ def run_weak_rip(
 ) -> ExperimentReport:
     """Permutation-based energy preservation: orthonormal and code-based frames."""
     _require_trials(trials=trials)
-    if code_k < 0:
-        raise ValueError(f"K must be >= 0, got {code_k}")
+    # code-based frame with (K, delta) chosen to meet the stated regime; its
+    # signal is drawn first, so a bad K is rejected before any trial runs
+    spec = CodeFrameSpec(code_m, code_t)
+    frame = build_code_frame(spec)
+    n = frame.cols
+    ln = math.log(n)
+    if 2 * code_k * ln > frame.rows:
+        raise ValueError("2 K ln N exceeds M; pick a smaller K")
+    x1 = draw_signal(n, code_k, FlatAmplitudes(1.0), trial_seed(seed, 2))
     out_rows = []
     summary = []
 
@@ -310,16 +317,8 @@ def run_weak_rip(
     out_rows.append(("orthonormal", trials, int(round(rate0 * trials)), rate0, 0.0, 0.0, ok0))
     summary.append(f"orthonormal basis: {int(round(rate0 * trials))} violations in {trials} trials")
 
-    # code-based frame with (K, delta) chosen to meet the stated regime
-    spec = CodeFrameSpec(code_m, code_t)
-    frame = build_code_frame(spec)
-    n = frame.cols
-    ln = math.log(n)
     mu = worst_case_coherence(frame)
-    if 2 * code_k * ln > frame.rows:
-        raise ValueError("2 K ln N exceeds M; pick a smaller K")
     delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)
-    x1 = draw_signal(n, code_k, FlatAmplitudes(1.0), trial_seed(seed, 2))
     rate1 = weak_rip_estimate(frame, x1, delta=delta, trials=trials, seed=trial_seed(seed, 3))
     bound = 4.0 * code_k / n**2
     k_viol = int(round(rate1 * trials))
@@ -361,8 +360,6 @@ def run_ost_recovery(
 ) -> ExperimentReport:
     """Monte Carlo check of the OST support-containment + error-bound event."""
     _require_trials(trials=trials, sanity_trials=sanity_trials)
-    if k < 0:
-        raise ValueError(f"K must be >= 0, got {k}")
     if not (sigma2 > 0 and math.isfinite(sigma2)):
         raise ValueError(f"sigma2 must be a positive finite number, got {sigma2!r}")
     frame = build_gaussian(GaussianFrameSpec(rows, cols, trial_seed(seed, 0)))
@@ -370,13 +367,13 @@ def run_ost_recovery(
     sn = spectral_norm(frame)
     tau_sigma = noise_floor_threshold(sigma2, cols, t_param)
     alpha = amp_factor * tau_sigma
-    # the self-interference floor is attainable for flat K-sparse signals only
-    # when (20/t) mu sqrt(2 K ln N) < 1; report the arithmetic either way
-    mu_floor_coeff = (20.0 / t_param) * mu * math.sqrt(2.0 * k * math.log(cols))
     law = FlatAmplitudes(alpha)
 
     seeds = [(trial_seed(seed, 2 * i + 1), trial_seed(seed, 2 * i + 2)) for i in range(trials)]
     out_rows = ost_trials(frame, k, law, sigma2, t_param, mu, seeds, lam=None, snr=None)
+    # the self-interference floor is attainable for flat K-sparse signals only
+    # when (20/t) mu sqrt(2 K ln N) < 1; report the arithmetic either way
+    mu_floor_coeff = (20.0 / t_param) * mu * math.sqrt(2.0 * k * math.log(cols))
     _, _, khat_sizes, exact, _, _, ok = zip(*out_rows)
     freq, passed, gate_line = _gate(sum(ok), trials, 1.0 - 10.0 / cols, "1 - 10/N = {:.4f}")
 

@@ -201,6 +201,67 @@ def test_recover_bad_frame_file_one_line_exit_2(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+_NO_FILE = "[Errno 2] No such file or directory: '{last}'"
+_RECOVER = "--sigma2", "1", "--trials", "2"
+
+#: (argv, message): each exits 2 with stdout empty and one error line on stderr.
+#: {demo} is the 5 x 10 flip demo, {tmp}/missing/ a directory that does not
+#: exist, {tmp}/trials.cfg holds trials=abc, {tmp}/header.frame a bad header;
+#: {last} in a message is the row's last argument.
+CONTRACT_ROWS = {
+    "construct-output": (["construct", "gaussian", "-M", "4", "-N", "8",
+                          "-o", "{tmp}/missing/o"], _NO_FILE),
+    "bounds-output": (["bounds", "-o", "{tmp}/missing/o"], _NO_FILE),
+    "recover-output": (["recover", "{demo}", *_RECOVER, "-o", "{tmp}/missing/o"], _NO_FILE),
+    "flip-output": (["flip", "{demo}", "-o", "{tmp}/missing/o"], _NO_FILE),
+    "experiment-output": (["experiment", "bounds-figure", "--nmax", "5",
+                           "-o", "{tmp}/missing/o"], _NO_FILE),
+    "analyze-csv": (["analyze", "{demo}", "--csv", "{tmp}/missing/o"], _NO_FILE),
+    "flip-pattern-out": (["flip", "{demo}", "-o", "{tmp}/ok.frame",
+                          "--pattern-out", "{tmp}/missing/o"], _NO_FILE),
+    "recover-K-above-N": (["recover", "{demo}", *_RECOVER, "-K", "11"],
+                          "sparsity K = 11 exceeds the signal length N = 10"),
+    "recover-negative-lam": (["recover", "{demo}", *_RECOVER, "--lam", "-1"],
+                             "threshold lam must be positive"),
+    "construct-code-t0": (["construct", "code", "-t", "0", "-o", "{tmp}/c.frame"],
+                          "t must be >= 1"),
+    "construct-poly-zz": (["construct", "code", "--poly", "zz", "-o", "{tmp}/c.frame"],
+                          "--poly: expected bitmask, got 'zz'"),
+    "bounds-M0": (["bounds", "-M", "0"], "bound table needs M >= 2"),
+    "bounds-empty-range": (["bounds", "--nmin", "10", "--nmax", "5"],
+                           "range of N values must be nonempty"),
+    "missing-config": (["experiment", "--config", "{tmp}/missing/e.cfg"], _NO_FILE),
+    "config-trials-abc": (["experiment", "flip-guarantee", "--config", "{tmp}/trials.cfg"],
+                          "trials: expected int, got 'abc'"),
+    "flag-trials-abc": (["experiment", "flip-guarantee", "--trials", "abc"],
+                        "trials: expected int, got 'abc'"),
+    "ignored-flag-malformed": (["experiment", "bounds-figure", "--sigma2", "x"],
+                               "sigma2: expected float, got 'x'"),
+    "flip-bad-header": (["flip", "{tmp}/header.frame", "-o", "{tmp}/f.frame"],
+                        "{tmp}/header.frame: line 1: "
+                        "expected header 'FRAME v1 <M> <N> <real|complex>'"),
+    "recover-bad-header": (["recover", "{tmp}/header.frame", "--sigma2", "1"],
+                           "{tmp}/header.frame: line 1: "
+                           "expected header 'FRAME v1 <M> <N> <real|complex>'"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(CONTRACT_ROWS))
+def test_bad_input_one_error_line_exit_2(tmp_path, capsys, row):
+    argv, message = CONTRACT_ROWS[row]
+    (tmp_path / "trials.cfg").write_text("trials=abc\n")
+    (tmp_path / "header.frame").write_text("FRAME v2 2 2 real\n1.0 0.0 0.0 1.0\n")
+    names = {"tmp": tmp_path, "demo": flip_demo_path()}
+    argv = [arg.format(**names) for arg in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err == "error: " + message.format(last=argv[-1], **names) + "\n"
+
+
 def test_flip_demo_prints_pattern(tmp_path, capsys):
     out = tmp_path / "flipped.frame"
     pat = tmp_path / "pattern.txt"
@@ -496,19 +557,6 @@ def test_recover_two_tier_amplitudes(tmp_path):
                "-o", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 3
-
-
-def test_thread_cap_env_export(monkeypatch):
-    from framecoh.cli import _apply_thread_cap
-
-    monkeypatch.setenv("FRAMECOH_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("MKL_NUM_THREADS", "8")  # pre-set values win
-    _apply_thread_cap()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["MKL_NUM_THREADS"] == "8"
 
 
 def test_construct_code_6_2_binary(tmp_path, capsys):
