@@ -1,5 +1,6 @@
 """Frozen SHA-256 digests of every experiment CSV and summary, the CLI's CSV
-files and the frame files `write_frame` and `framecoh flip` produce.
+files and bound tables, and the frame files `write_frame` and `framecoh flip`
+produce.
 
 A digest moves when any byte of its file moves, so refactors must leave
 every value here unchanged.  A change that alters a CSV or a frame file on
@@ -77,6 +78,37 @@ def test_runner_csv_digest(name):
 def test_runner_summary_digest(name):
     report = run_experiment(name, **RUNNER_CASES[name])
     assert _digest(report.summary_text()) == SUMMARY_DIGESTS[name]
+
+
+# spatial_dim 2 checks the cos(pi/N) reduction; 4 has a blank three_d column
+BOUNDS_FIGURE_DIGESTS = {
+    2: ("081c471b6ad702c7ecb740791867cd8e574d206bed5af1e77097c62f43e2039f",
+        "1468f5d7dbec4b722f18d00b32727f382be3e2cd1920fa50f040de58ae22f7e7"),
+    4: ("de19488df6ce6857da6ac8184ed4eb3db373a5f1fc9fdce514903d8459aed0ba",
+        "d167d24969cf5f331c8d819301e557e27d1874f7f38b2e02822a4d61730368f0"),
+}
+
+
+@pytest.mark.parametrize("spatial_dim", sorted(BOUNDS_FIGURE_DIGESTS))
+def test_bounds_figure_digest(spatial_dim):
+    report = run_experiment("bounds-figure", spatial_dim=spatial_dim)
+    assert report.passed
+    digests = (_digest(report.csv_text()), _digest(report.summary_text()))
+    assert digests == BOUNDS_FIGURE_DIGESTS[spatial_dim]
+
+
+# stdout of `framecoh bounds -M <M>` at the default range N = 3..55
+BOUNDS_CLI_DIGESTS = {
+    2: "f15df3ba1f700760176a82f989c2615e9f1748814e31182919dd0d1de8cca137",
+    3: "4f5396fbf384c412bf01a0d72d115d0f1964ee0d2234b06ef41c0eade340efc0",
+    4: "e2fdf191a4b0d5afb9323bbfed6c187bc0a117f7b2ddb9a6e9dd240c6540631e",
+}
+
+
+@pytest.mark.parametrize("m", sorted(BOUNDS_CLI_DIGESTS))
+def test_bounds_stdout_digest(m, capsys):
+    assert main(["bounds", "-M", str(m)]) == 0
+    assert _digest(capsys.readouterr().out) == BOUNDS_CLI_DIGESTS[m]
 
 
 def _frames():
