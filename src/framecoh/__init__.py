@@ -6,7 +6,6 @@ evaluates coherence lower bounds; reduces average coherence by sign
 flipping; and recovers noisy sparse signals by one-step thresholding.
 """
 from .bounds import (
-    BoundTable,
     bound_3d,
     bound_table,
     complex_bound,

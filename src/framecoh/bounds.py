@@ -9,7 +9,6 @@ values when pretty-printing, while CSV output stays purely numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "welch_bound",
@@ -17,7 +16,7 @@ __all__ = [
     "real_bound",
     "bound_3d",
     "bound_table",
-    "BoundTable",
+    "BOUND_HEADER",
     "gamma_half_integer",
 ]
 
@@ -92,49 +91,20 @@ def bound_3d(n: int) -> float:
     return 1.0 - 4.0 / n + 2.0 / (n * n)
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    """Per-N values of the applicable coherence lower bounds for fixed M."""
-
-    spatial_dim: int
-    n_values: tuple
-    welch: tuple
-    complex_: tuple
-    real: tuple
-    three_d: tuple  # entries are None unless spatial_dim == 3
-
-    CSV_HEADER = "N,welch,complex,real,three_d"
-
-    def rows(self):
-        for i, n in enumerate(self.n_values):
-            yield (n, self.welch[i], self.complex_[i], self.real[i], self.three_d[i])
-
-    def to_csv(self) -> str:
-        """CSV with the frozen header; floats carry 12 significant digits."""
-        lines = [self.CSV_HEADER]
-        for n, w, c, r, d in self.rows():
-            cells = [str(n)] + [f"{v:.12g}" for v in (w, c, r)]
-            cells.append("" if d is None else f"{d:.12g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+#: Column names of a `bound_table` row.
+BOUND_HEADER = ("N", "welch", "complex", "real", "three_d")
 
 
-def bound_table(m: int, n_values) -> BoundTable:
-    """Evaluate every applicable bound over a range of N for fixed M >= 2."""
+def bound_table(m: int, n_values) -> list:
+    """Rows (N, welch, complex, real, three_d) of every applicable bound over
+    a range of N for fixed M >= 2; three_d is None unless M == 3."""
     ns = [int(n) for n in n_values]
     if not ns:
         raise ValueError("range of N values must be nonempty")
     if m < 2:
         raise ValueError("bound table needs M >= 2")
-    welch = tuple(welch_bound(m, n) for n in ns)
-    cplx = tuple(complex_bound(m, n) for n in ns)
-    real = tuple(real_bound(m, n) for n in ns)
-    three = tuple(bound_3d(n) if m == 3 else None for n in ns)
-    return BoundTable(
-        spatial_dim=m,
-        n_values=tuple(ns),
-        welch=welch,
-        complex_=cplx,
-        real=real,
-        three_d=three,
-    )
+    return [
+        (n, welch_bound(m, n), complex_bound(m, n), real_bound(m, n),
+         bound_3d(n) if m == 3 else None)
+        for n in ns
+    ]

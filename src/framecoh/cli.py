@@ -4,10 +4,8 @@ Exit codes: 0 on success/pass, 1 when an experiment's gate fails, 2 for
 usage, configuration, or input-file errors, and for a frame too large for
 the memory a command needs (for example a frame file whose entries do not
 fit in memory once read).  An exit 2 prints one ``error: ...`` line to
-stderr, no traceback and nothing on stdout; the exceptions are argparse's
-own usage errors: an unknown flag or subcommand, a missing argument, a
-value outside a flag's choices, and a malformed value for a typed flag of
-``construct``, ``recover`` or ``bounds``.
+stderr, no traceback and nothing on stdout, argparse's own usage errors
+included.
 """
 from __future__ import annotations
 
@@ -16,7 +14,7 @@ import math
 import sys
 
 from . import constructions
-from .bounds import bound_table
+from .bounds import BOUND_HEADER, bound_table
 from .equivalence import linear_time_flip
 from .experiments import ExperimentReport, run_experiment, trial_seed, wilson_interval
 from .frame import average_coherence, scp1_bound, scp2_bound, scp_check, worst_case_coherence
@@ -62,16 +60,6 @@ def _print_report(frame, report):
     print(f"SCP-2 (nu <= mu/sqrt(M)   = {scp2_rhs:.6g}): {'pass' if report.scp2 else 'FAIL'}")
 
 
-def _report_csv(frame, report) -> str:
-    header = "M,N,field,mu,nu,spectral_norm,scp1,scp2"
-    row = (
-        f"{frame.rows},{frame.cols},{frame.scalar_field},"
-        f"{report.mu:.12g},{report.nu:.12g},{report.spectral_norm:.12g},"
-        f"{int(report.scp1)},{int(report.scp2)}"
-    )
-    return header + "\n" + row + "\n"
-
-
 def _cmd_construct(args) -> int:
     poly = None if args.poly is None else _parse("--poly", args.poly, bitmask)
     if args.family == "gaussian":
@@ -98,11 +86,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+_REPORT_HEADER = ["M", "N", "field", "mu", "nu", "spectral_norm", "scp1", "scp2"]
+
+
 def _cmd_analyze(args) -> int:
     frame = read_frame(args.frame)
     report = scp_check(frame)
     if args.csv:
-        _write_text(args.csv, _report_csv(frame, report))
+        row = (frame.rows, frame.cols, frame.scalar_field, report.mu, report.nu,
+               report.spectral_norm, report.scp1, report.scp2)
+        _write_text(args.csv, ExperimentReport("analyze", _REPORT_HEADER, [row]).csv_text())
     _print_report(frame, report)
     if args.csv:
         print(f"wrote CSV report to {args.csv}")
@@ -155,8 +148,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    table = bound_table(args.M, range(args.nmin, args.nmax + 1))
-    text = table.to_csv()
+    rows = bound_table(args.M, range(args.nmin, args.nmax + 1))
+    text = ExperimentReport("bounds", list(BOUND_HEADER), rows).csv_text()
     if args.output:
         _write_text(args.output, text)
         print(f"wrote bound table to {args.output}")
@@ -164,7 +157,7 @@ def _cmd_bounds(args) -> int:
         sys.stdout.write(text)
     vacuous = [
         n
-        for (n, w, c, r, d) in table.rows()
+        for (n, w, c, r, d) in rows
         if w <= 0 or c <= 0 or r <= 0 or (d is not None and d <= 0)
     ]
     if vacuous:
@@ -244,8 +237,15 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framecoh",
         description="Low-coherence frames: construction, analysis, flipping, "
         "sparse recovery, coherence bounds, and Monte Carlo experiments.",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import bound_table
+from .bounds import BOUND_HEADER, bound_table
 from .constructions import (
     CodeFrameSpec,
     GaussianFrameSpec,
@@ -62,8 +62,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _gate(hits: int, trials: int, level: float, level_text: str) -> tuple[float, bool, str]:
-    """Frequency, verdict frequency >= level - slack, and summary line of a
+def _gate(hits: int, trials: int, level: float, level_text: str) -> tuple[bool, str]:
+    """Verdict frequency >= level - slack and summary line of a
     probabilistic claim; ``level_text`` formats the level ("1 - 10/N = {:.4f}")."""
     freq = hits / trials
     slack = 0.05
@@ -72,7 +72,7 @@ def _gate(hits: int, trials: int, level: float, level_text: str) -> tuple[float,
         f"joint frequency {freq:.4f} over {trials} trials; level {level_text.format(level)}, "
         f"fixed slack {slack}; Wilson 95% [{lo:.4f}, {hi:.4f}]"
     )
-    return freq, freq >= level - slack, line
+    return freq >= level - slack, line
 
 
 def _require_trials(**counts: int) -> None:
@@ -103,7 +103,6 @@ class ExperimentReport:
     rows: list
     summary: list = field(default_factory=list)
     passed: bool = False
-    stats: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = [",".join(self.header)]
@@ -142,7 +141,7 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
         hits += ok
         out_rows.append((i, s, mu, nu, sn, ok))
 
-    freq, passed, gate_line = _gate(hits, trials, 1.0 - 11.0 / cols, "1 - 11/N = {:.4f}")
+    passed, gate_line = _gate(hits, trials, 1.0 - 11.0 / cols, "1 - 11/N = {:.4f}")
     return ExperimentReport(
         experiment="gaussian-geometry",
         header=["trial", "seed", "mu", "nu", "spectral_norm", "ok"],
@@ -156,7 +155,6 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
             gate_line,
         ],
         passed=passed,
-        stats={"frequency": freq},
     )
 
 
@@ -188,7 +186,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
         out_rows.append((i, s, card, tight_err, mu, nu, ok_i, ok_ii, ok_iii, ok))
 
     level = 1.0 - 4.0 / n - 1.0 / n**2
-    freq, passed, gate_line = _gate(hits, trials, level, "1 - 4/N - 1/N^2 = {:.6f}")
+    passed, gate_line = _gate(hits, trials, level, "1 - 4/N - 1/N^2 = {:.6f}")
     return ExperimentReport(
         experiment="harmonic-geometry",
         header=["trial", "seed", "n_rows", "tight_err", "mu", "nu", "i_ok", "ii_ok", "iii_ok", "ok"],
@@ -201,7 +199,6 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
             gate_line,
         ],
         passed=all_tight and passed,
-        stats={"frequency": freq, "all_tight": all_tight},
     )
 
 
@@ -281,7 +278,6 @@ def run_flip_guarantee(
             f"at M={oracle_rows}, N={oracle_cols}",
         ],
         passed=greedy_ok == trials and oracle_ok == oracle_trials,
-        stats={"greedy_ok": greedy_ok, "oracle_ok": oracle_ok},
     )
 
 
@@ -342,7 +338,6 @@ def run_weak_rip(
         rows=out_rows,
         summary=summary,
         passed=ok0 and ok1,
-        stats={"orthonormal_rate": rate0, "code_rate": rate1},
     )
 
 
@@ -375,7 +370,7 @@ def run_ost_recovery(
     # when (20/t) mu sqrt(2 K ln N) < 1; report the arithmetic either way
     mu_floor_coeff = (20.0 / t_param) * mu * math.sqrt(2.0 * k * math.log(cols))
     _, _, khat_sizes, exact, _, _, ok = zip(*out_rows)
-    freq, passed, gate_line = _gate(sum(ok), trials, 1.0 - 10.0 / cols, "1 - 10/N = {:.4f}")
+    passed, gate_line = _gate(sum(ok), trials, 1.0 - 10.0 / cols, "1 - 10/N = {:.4f}")
 
     # noiseless orthonormal sanity: any threshold below the smallest magnitude
     # (1) recovers the signal exactly; row[3] is exact_support, row[4] l2_error
@@ -407,7 +402,6 @@ def run_ost_recovery(
             f"noiseless orthonormal sanity: exact recovery in {sanity_ok}/{sanity_trials}",
         ],
         passed=passed and sanity_ok == sanity_trials,
-        stats={"frequency": freq, "sanity_ok": sanity_ok},
     )
 
 
@@ -415,8 +409,7 @@ def run_bounds_figure(spatial_dim=3, n_min=None, n_max=55) -> ExperimentReport:
     """Emit the coherence-bound comparison table and check its ordering."""
     if n_min is None:
         n_min = max(spatial_dim, 2)
-    table = bound_table(spatial_dim, range(n_min, n_max + 1))
-    rows = list(table.rows())
+    rows = bound_table(spatial_dim, range(n_min, n_max + 1))
     summary = []
     passed = True
     if spatial_dim == 3:
@@ -434,7 +427,7 @@ def run_bounds_figure(spatial_dim=3, n_min=None, n_max=55) -> ExperimentReport:
         summary.append("no ordering claim checked for this M; table emitted")
     return ExperimentReport(
         experiment="bounds-figure",
-        header=table.CSV_HEADER.split(","),
+        header=list(BOUND_HEADER),
         rows=rows,
         summary=summary,
         passed=passed,

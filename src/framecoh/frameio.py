@@ -160,29 +160,24 @@ def read_frame(path) -> Frame:
                 f"{path}: expected {count * itemsize} payload bytes, found {len(body)}"
             )
         flat = np.frombuffer(body, dtype=dtype)
-        data = flat.reshape((m, n), order="F")
+    else:
         try:
-            return Frame._own(data, normalize=False)
-        except ValueError as exc:
-            raise FrameParseError(f"{path}: {exc}") from None
-
-    try:
-        text = raw[newline + 1 :].decode("ascii")
-    except UnicodeDecodeError:
-        raise FrameParseError(f"{path}: body is not ASCII text") from None
-    tokens = text.split()
-    if len(tokens) != count:
-        raise FrameParseError(f"{path}: expected {count} entries, found {len(tokens)}")
-    parse, dtype = (_parse_complex, np.complex128) if field == COMPLEX else (float, np.float64)
-    try:
-        if "_" in text:  # float() and complex() accept '1_0.0'; repr never writes it
-            raise ValueError
-        flat = np.array(_parse_tokens(tokens, parse), dtype=dtype)
-    except ValueError:
-        lineno, tok = _first_bad_entry(text, parse)
-        raise FrameParseError(
-            f"{path}: line {lineno}: cannot parse {field} entry {tok!r}"
-        ) from None
+            text = raw[newline + 1 :].decode("ascii")
+        except UnicodeDecodeError:
+            raise FrameParseError(f"{path}: body is not ASCII text") from None
+        tokens = text.split()
+        if len(tokens) != count:
+            raise FrameParseError(f"{path}: expected {count} entries, found {len(tokens)}")
+        parse, dtype = (_parse_complex, np.complex128) if field == COMPLEX else (float, np.float64)
+        try:
+            if "_" in text:  # float() and complex() accept '1_0.0'; repr never writes it
+                raise ValueError
+            flat = np.array(_parse_tokens(tokens, parse), dtype=dtype)
+        except ValueError:
+            lineno, tok = _first_bad_entry(text, parse)
+            raise FrameParseError(
+                f"{path}: line {lineno}: cannot parse {field} entry {tok!r}"
+            ) from None
     data = flat.reshape((m, n), order="F")
     try:
         return Frame._own(data, normalize=False)

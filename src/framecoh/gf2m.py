@@ -129,12 +129,6 @@ class GF2m:
         self.poly = validate_irreducible(poly, m)
         self.size = 1 << m
 
-    def mul(self, a: int, b: int) -> int:
-        return gf2m_mul(a, b, self.poly)
-
-    def trace(self, a: int) -> int:
-        return gf2m_trace(a, self.poly)
-
     @functools.cached_property
     def mul_table(self) -> np.ndarray:
         """size x size table of products, built by vectorised shift-and-reduce."""

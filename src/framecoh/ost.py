@@ -339,7 +339,8 @@ def weak_rip_estimate(frame: Frame, x: SparseSignal, delta: float, trials: int, 
     positions = np.empty((trials, x.sparsity), dtype=np.int64)
     for i in range(trials):
         positions[i] = rng.permutation(x.length)[x.support]  # y[perm[j]] = x[j]
-    columns = frame.data.T  # columns[n] is f_n
+    # columns[n] is f_n; one contiguous copy makes each gather read whole rows
+    columns = np.ascontiguousarray(frame.data.T)
     values = x.values
     energy = float(np.vdot(values, values).real)
     lo, hi = (1.0 - delta) * energy, (1.0 + delta) * energy

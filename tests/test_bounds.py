@@ -7,6 +7,7 @@ import pytest
 
 from conftest import mercedes_frame, random_frame, tetrahedron_frame
 from framecoh import (
+    ExperimentReport,
     Frame,
     bound_3d,
     bound_table,
@@ -20,7 +21,7 @@ from framecoh import (
     welch_bound,
     worst_case_coherence,
 )
-from framecoh.bounds import _gamma_ratio
+from framecoh.bounds import BOUND_HEADER, _gamma_ratio
 from framecoh.constructions import CodeFrameSpec, GaussianFrameSpec, HarmonicFrameSpec
 
 
@@ -135,25 +136,21 @@ class TestBound3d:
 
 class TestBoundTable:
     def test_figure_ordering_m3(self):
-        table = bound_table(3, range(3, 56))
-        for n, w, c, r, d in table.rows():
+        for n, w, c, r, d in bound_table(3, range(3, 56)):
             assert max(w, r, d) > c, f"ordering fails at N={n}"
 
     def test_m2_real_column(self):
-        table = bound_table(2, range(3, 11))
-        for n, _, _, r, d in table.rows():
+        for n, _, _, r, d in bound_table(2, range(3, 11)):
             assert r == pytest.approx(math.cos(math.pi / n), abs=1e-12)
             assert d is None
 
     def test_spot_check_m3_n9(self):
-        table = bound_table(3, [9])
-        (_, w, c, r, d), = table.rows()
+        (_, w, c, r, d), = bound_table(3, [9])
         assert w == pytest.approx(0.5, rel=1e-12)  # sqrt(6/24)
         assert c == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_csv_format(self):
-        table = bound_table(3, [3, 4])
-        text = table.to_csv()
+        text = ExperimentReport("bounds", list(BOUND_HEADER), bound_table(3, [3, 4])).csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == "N,welch,complex,real,three_d"
         assert len(lines) == 3
@@ -164,7 +161,9 @@ class TestBoundTable:
         float(cells[1]), float(cells[2]), float(cells[3]), float(cells[4])
 
     def test_csv_blank_three_d_for_other_m(self):
-        text = bound_table(4, [5, 6]).to_csv()
+        rows = bound_table(4, [5, 6])
+        assert [row[4] for row in rows] == [None, None]
+        text = ExperimentReport("bounds", list(BOUND_HEADER), rows).csv_text()
         for line in text.strip().split("\n")[1:]:
             assert line.endswith(",")
 

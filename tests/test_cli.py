@@ -24,6 +24,7 @@ from framecoh import (
     worst_case_coherence,
     write_frame,
 )
+from framecoh.bounds import BOUND_HEADER
 from framecoh.cli import main, read_config_file
 from framecoh.constructions import GaussianFrameSpec, HarmonicFrameSpec
 from framecoh.ost import OST_TRIAL_HEADER
@@ -237,6 +238,16 @@ CONTRACT_ROWS = {
                         "trials: expected int, got 'abc'"),
     "ignored-flag-malformed": (["experiment", "bounds-figure", "--sigma2", "x"],
                                "sigma2: expected float, got 'x'"),
+    "recover-trials-abc": (["recover", "{demo}", "--sigma2", "1", "--trials", "abc"],
+                           "argument --trials: invalid int value: 'abc'"),
+    "construct-M-x": (["construct", "gaussian", "-M", "x"],
+                      "argument -M: invalid int value: 'x'"),
+    "bounds-nmax-5.5": (["bounds", "--nmax", "5.5"], "argument --nmax: invalid int value: '5.5'"),
+    "recover-amplitude-choice": (["recover", "{demo}", *_RECOVER, "--amplitude", "loud"],
+                                 "argument --amplitude: invalid choice: 'loud' "
+                                 "(choose from 'flat', 'two-tier')"),
+    "unknown-flag": (["bounds", "--bogus"], "unrecognized arguments: --bogus"),
+    "analyze-missing-frame": (["analyze"], "the following arguments are required: frame"),
     "flip-bad-header": (["flip", "{tmp}/header.frame", "-o", "{tmp}/f.frame"],
                         "{tmp}/header.frame: line 1: "
                         "expected header 'FRAME v1 <M> <N> <real|complex>'"),
@@ -255,7 +266,7 @@ def test_bad_input_one_error_line_exit_2(tmp_path, capsys, row):
     argv = [arg.format(**names) for arg in argv]
     try:
         rc = main(argv)
-    except SystemExit as exc:  # an argparse usage error
+    except SystemExit as exc:  # an argparse usage error, reported by _Parser.error
         rc = exc.code
     captured = capsys.readouterr()
     assert (rc, captured.out) == (2, "")
@@ -276,18 +287,22 @@ def test_flip_demo_prints_pattern(tmp_path, capsys):
     assert average_coherence(flipped) == pytest.approx(7 / 45, abs=1e-12)
 
 
+def _bound_table_csv(m, n_values):
+    return ExperimentReport("bounds", list(BOUND_HEADER), bound_table(m, n_values)).csv_text()
+
+
 def test_bounds_csv_matches_bound_table(tmp_path):
     out = tmp_path / "bounds.csv"
     rc = main(["bounds", "-M", "3", "--nmin", "3", "--nmax", "55", "-o", str(out)])
     assert rc == 0
-    assert out.read_text() == bound_table(3, range(3, 56)).to_csv()
+    assert out.read_text() == _bound_table_csv(3, range(3, 56))
 
 
 def test_experiment_bounds_figure_matches_bound_table(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     rc = main(["experiment", "bounds-figure", "-M", "3", "--nmax", "55", "-o", str(out)])
     assert rc == 0
-    assert out.read_text() == bound_table(3, range(3, 56)).to_csv()
+    assert out.read_text() == _bound_table_csv(3, range(3, 56))
     assert "RESULT: PASS" in capsys.readouterr().out
 
 
