@@ -27,7 +27,7 @@ from framecoh import (
     spectral_norm,
     write_frame,
 )
-from framecoh.frame import _GroupFrame
+from framecoh.frame import _GroupFrame, _squared_norms
 
 ALL_BUT_ONE_ROW = [r for r in range(2048) if r != 862]
 
@@ -140,6 +140,33 @@ class TestChecks:
     def test_fortran_ordered_input_validated(self):
         arr = np.asfortranarray(np.eye(4, dtype=complex) * 1j)
         assert np.array_equal(Frame._own(arr, normalize=False).data, arr)
+
+
+def _spelled_out_squared_norms(arr):
+    """Per-column sums of re^2, then of im^2, each by einsum, then added."""
+    if not np.iscomplexobj(arr):
+        return np.einsum("ij,ij->j", arr, arr)
+    re, im = arr.real, arr.imag
+    return np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+
+
+_RNG_ARR = np.random.default_rng(11).standard_normal((2, 37, 53))
+SQUARED_NORM_INPUTS = {
+    "real": _RNG_ARR[0],
+    "complex-c-order": _RNG_ARR[0] + 1j * _RNG_ARR[1],
+    "complex-fortran": np.asfortranarray(_RNG_ARR[0] + 1j * _RNG_ARR[1]),
+    "complex-column-slice": (_RNG_ARR[0] + 1j * _RNG_ARR[1])[:, 1::3],
+    "harmonic-frame": harmonic_frame_from_rows(512, range(0, 512, 5)).data,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARED_NORM_INPUTS))
+def test_squared_norms_bit_equal_to_spelled_out_sums(name):
+    arr = SQUARED_NORM_INPUTS[name]
+    got = _squared_norms(arr)
+    want = _spelled_out_squared_norms(arr)
+    assert got.dtype == np.float64 and got.shape == (arr.shape[1],)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _complex_gaussian(m, n, seed):

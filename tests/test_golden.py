@@ -1,6 +1,6 @@
 """Frozen SHA-256 digests of every experiment CSV and summary, the CLI's CSV
-files and bound tables, and the frame files `write_frame` and `framecoh flip`
-produce.
+files and bound tables, the frame files `write_frame` and `framecoh flip`
+produce, and the bytes of constructed harmonic frames.
 
 A digest moves when any byte of its file moves, so refactors must leave
 every value here unchanged.  A change that alters a CSV or a frame file on
@@ -17,6 +17,7 @@ from framecoh import (
     build_code_frame,
     build_gaussian,
     build_harmonic,
+    harmonic_frame_from_rows,
     run_experiment,
     write_frame,
 )
@@ -214,3 +215,30 @@ def test_flip_frame_file_digest(name, frame_files, tmp_path, capsys):
     out = tmp_path / "flipped.frame"
     assert main(["flip", str(frame_files[name]), "-o", str(out)]) == 0
     assert _file_digest(out) == FLIP_FILE_DIGESTS[name]
+
+
+HARMONIC_FRAME_CASES = {
+    "2048-all-but-862": lambda: harmonic_frame_from_rows(
+        2048, [r for r in range(2048) if r != 862]),
+    "1000-rows-1-7-500-999": lambda: harmonic_frame_from_rows(1000, [1, 7, 500, 999]),
+    "4099-odd-rows": lambda: harmonic_frame_from_rows(4099, range(1, 4099, 2)),  # prime N
+    "spec-1024-64-seed0": lambda: build_harmonic(HarmonicFrameSpec(1024, 64, 0))[0],
+    "spec-1024-64-seed1": lambda: build_harmonic(HarmonicFrameSpec(1024, 64, 1))[0],
+}
+
+# SHA-256 of the frame's C-order bytes, i.e. of ``frame.data.tobytes()``
+HARMONIC_FRAME_DIGESTS = {
+    "2048-all-but-862": "076fd86bef35b31cda7c0ee26a452c8f646f8bedb58809c79d77365aeb82abe1",
+    "1000-rows-1-7-500-999": "a09ae05c0aee006d6aadd4ef44a9370858035cd395a9bd1c8f4f03ea501eacd9",
+    "4099-odd-rows": "2b724d3cd4015de41d98b77e3cef5241987dd92e9e91c35ab9c7259ecbf3d98b",
+    "spec-1024-64-seed0": "aef9ee6604a61eaf5ee277b0ee891f70ae371bb49196624bfd6e053d0388b4a1",
+    "spec-1024-64-seed1": "2a0712c79bb8a8630bd6b2876ce1bd35448c6d15c87a4756ff6d9f28df9b4f68",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARMONIC_FRAME_DIGESTS))
+def test_harmonic_frame_bytes_digest(name):
+    data = HARMONIC_FRAME_CASES[name]().data
+    assert data.dtype == np.complex128
+    # hashing the contiguous buffer reads the bytes tobytes() would copy
+    assert hashlib.sha256(np.ascontiguousarray(data)).hexdigest() == HARMONIC_FRAME_DIGESTS[name]

@@ -218,6 +218,35 @@ def test_group_nu_matches_exact_row_sums():
     assert abs(average_coherence(frame) - exact) <= 1e-12 * exact
 
 
+def _within(a, b, rel=1e-9):
+    return abs(a - b) <= rel * abs(b)
+
+
+def _near_full(n, dropped):
+    """All DFT rows but one nonzero row: every Gram row sums to 1/(N-1), so
+    mu = 1/(N-1) and nu = 1/(N-1)^2."""
+    group = harmonic_frame_from_rows(n, [r for r in range(n) if r != dropped])
+    return group, Frame(group.data, normalize=False), 1.0 / (n - 1), 1.0 / (n - 1) ** 2
+
+
+def test_near_full_harmonic_nu_paths_agree_at_2048():
+    # the group path reads row 0, the generic path the max over the rounded
+    # rows; they differ near 2.5e-10 relative, and this pins that both stay
+    # within 1e-9 of each other and of 1/(N-1)^2, not which 11th digit is right
+    group, plain, _, nu_exact = _near_full(2048, 862)
+    nu_group, nu_plain = average_coherence(group), average_coherence(plain)
+    assert _within(nu_group, nu_plain)
+    assert _within(nu_group, nu_exact) and _within(nu_plain, nu_exact)
+
+
+def test_near_full_harmonic_mu_nu_paths_agree_at_256():
+    group, plain, mu_exact, nu_exact = _near_full(256, 77)
+    for got_group, got_plain, exact in zip(coherence(group), coherence(plain),
+                                           (mu_exact, nu_exact)):
+        assert _within(got_group, got_plain)
+        assert _within(got_group, exact) and _within(got_plain, exact)
+
+
 def test_each_query_runs_only_its_kernel(monkeypatch):
     frame = _gaussian(64, 300, False)
     mu, nu = coherence(frame)
