@@ -23,6 +23,9 @@ MAX_CODE_ENTRIES = 1 << 27
 
 _RESAMPLE_LIMIT = 100
 
+# Entries per row block of `harmonic_frame_from_rows`: 32 rows at N = 2048.
+_HARMONIC_BLOCK_ENTRIES = 1 << 16
+
 
 @dataclass(frozen=True)
 class GaussianFrameSpec:
@@ -91,9 +94,13 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
 
     The row-k, column-l entry of the non-normalized DFT is
     exp(2*pi*i*k*l/N); the product k*l is reduced mod N in exact integer
-    arithmetic and indexes a table of the N roots of unity, so phases stay
-    accurate for large N and only N exponentials are evaluated.  The result
-    is a group frame (see `xor_stationary_coherence`).
+    arithmetic and picks an entry of a table of the N roots of unity, so
+    phases stay accurate for large N and only N exponentials are evaluated.
+    The |R| x N result is allocated once and filled in blocks of
+    max(1, 2^16 // N) rows, each block's products formed, reduced and
+    gathered while they are cache-sized, so peak memory is about the
+    frame's own bytes.  The result is a group frame (see
+    `xor_stationary_coherence`).
     """
     rows = np.asarray(sorted(set(int(r) for r in np.asarray(rows).ravel())), dtype=np.int64)
     if rows.size == 0:
@@ -103,9 +110,15 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     cols = np.arange(dft_size, dtype=np.int64)
     # every entry has modulus 1, so normalization just divides by sqrt(#rows)
     roots = np.exp(2j * np.pi * cols / dft_size) / math.sqrt(rows.size)
-    idx = rows[:, None] * cols[None, :]
-    idx %= dft_size
-    return _GroupFrame._own(roots[idx], normalize=False)
+    data = np.empty((rows.size, dft_size), dtype=np.complex128)
+    step = max(1, _HARMONIC_BLOCK_ENTRIES // dft_size)
+    for start in range(0, rows.size, step):
+        idx = np.multiply.outer(rows[start:start + step], cols)
+        idx -= idx // dft_size * dft_size  # k*l mod N; floor-divide beats %
+        # every index is already in [0, N), so "clip" changes nothing; the
+        # default "raise" would make numpy buffer ``out`` and copy it back
+        np.take(roots, idx, out=data[start:start + step], mode="clip")
+    return _GroupFrame._own(data, normalize=False)
 
 
 def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:

@@ -134,10 +134,18 @@ class Frame:
 
 
 def _squared_norms(arr: np.ndarray) -> np.ndarray:
-    """Squared column norms, summed from the real and imaginary views so no
-    frame-sized temporary is made."""
-    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
-    return sum(np.einsum("ij,ij->j", p, p) for p in parts)
+    """Squared column norms with no frame-sized temporary.
+
+    A complex array is read once, as an (M, N, 2) float64 view of its
+    interleaved real and imaginary parts; the per-column sums of re^2 and
+    of im^2 are the ones the two strided part views would give, in the same
+    order, and are then added.  Any memory layout works.
+    """
+    if not np.iscomplexobj(arr):
+        return np.einsum("ij,ij->j", arr, arr)
+    v = arr[..., None].view(np.float64)
+    s = np.einsum("ijk,ijk->jk", v, v)
+    return s[:, 0] + s[:, 1]
 
 
 class _GroupFrame(Frame):

@@ -51,7 +51,7 @@ class TestMemory:
 
     def test_harmonic_frame_built_once(self):
         frame, peak = _peak_bytes(lambda: harmonic_frame_from_rows(2048, ALL_BUT_ONE_ROW))
-        assert peak <= 1.6 * frame.data.nbytes
+        assert peak <= 1.05 * frame.data.nbytes
 
     def test_spectral_norm_copies_no_adjoint(self):
         frame = harmonic_frame_from_rows(2048, ALL_BUT_ONE_ROW)
