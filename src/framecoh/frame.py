@@ -136,16 +136,22 @@ class Frame:
 def _squared_norms(arr: np.ndarray) -> np.ndarray:
     """Squared column norms with no frame-sized temporary.
 
-    A complex array is read once, as an (M, N, 2) float64 view of its
-    interleaved real and imaginary parts; the per-column sums of re^2 and
-    of im^2 are the ones the two strided part views would give, in the same
-    order, and are then added.  Any memory layout works.
+    A complex array is seen as an (M, N, 2) float64 view of its interleaved
+    real and imaginary parts.  Either way below, the per-column sums of
+    re^2 and of im^2 run down the rows in order and are then added, so the
+    bits do not depend on the layout.  When each row is contiguous (C
+    order, as the builders make) one einsum reads the view in one pass;
+    otherwise (the reader's Fortran order, column slices) one einsum per
+    part is faster, since the one-pass loop would step two floats at a time.
     """
     if not np.iscomplexobj(arr):
         return np.einsum("ij,ij->j", arr, arr)
     v = arr[..., None].view(np.float64)
-    s = np.einsum("ijk,ijk->jk", v, v)
-    return s[:, 0] + s[:, 1]
+    if arr.strides[1] == arr.itemsize:
+        s = np.einsum("ijk,ijk->jk", v, v)
+        return s[:, 0] + s[:, 1]
+    re, im = v[..., 0], v[..., 1]
+    return np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
 
 
 class _GroupFrame(Frame):
