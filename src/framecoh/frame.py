@@ -136,22 +136,22 @@ class Frame:
 def _squared_norms(arr: np.ndarray) -> np.ndarray:
     """Squared column norms with no frame-sized temporary.
 
-    A complex array is seen as an (M, N, 2) float64 view of its interleaved
-    real and imaginary parts.  Either way below, the per-column sums of
-    re^2 and of im^2 run down the rows in order and are then added, so the
-    bits do not depend on the layout.  When each row is contiguous (C
-    order, as the builders make) one einsum reads the view in one pass;
-    otherwise (the reader's Fortran order, column slices) one einsum per
-    part is faster, since the one-pass loop would step two floats at a time.
+    For complex input, the per-column sums of re^2 and of im^2 each run
+    down the rows in order and are then added, so the bits do not depend
+    on the layout.  When each row is contiguous (C order, as the builders
+    make) one einsum reads both parts in one pass, through an (M, N, 2)
+    float64 view of the interleaved entries.  Otherwise (the reader's
+    Fortran order, column slices) that pass would step two floats at a
+    time, and one einsum per part view is faster.
     """
     if not np.iscomplexobj(arr):
         return np.einsum("ij,ij->j", arr, arr)
+    if arr.strides[1] != arr.itemsize:
+        re, im = arr.real, arr.imag
+        return np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
     v = arr[..., None].view(np.float64)
-    if arr.strides[1] == arr.itemsize:
-        s = np.einsum("ijk,ijk->jk", v, v)
-        return s[:, 0] + s[:, 1]
-    re, im = v[..., 0], v[..., 1]
-    return np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    s = np.einsum("ijk,ijk->jk", v, v)
+    return s[:, 0] + s[:, 1]
 
 
 class _GroupFrame(Frame):
