@@ -1,6 +1,6 @@
 """Frozen SHA-256 digests of every experiment CSV and summary, the CLI's CSV
 files and bound tables, the frame files `write_frame` and `framecoh flip`
-produce, and the bytes of constructed harmonic frames.
+produce, and the bytes of constructed harmonic frames and of normalized frames.
 
 A digest moves when any byte of its file moves, so refactors must leave
 every value here unchanged.  A change that alters a CSV or a frame file on
@@ -236,9 +236,48 @@ HARMONIC_FRAME_DIGESTS = {
 }
 
 
+def _bytes_digest(data: np.ndarray) -> str:
+    # hashing the contiguous buffer reads the bytes tobytes() would copy
+    return hashlib.sha256(np.ascontiguousarray(data)).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(HARMONIC_FRAME_DIGESTS))
 def test_harmonic_frame_bytes_digest(name):
     data = HARMONIC_FRAME_CASES[name]().data
     assert data.dtype == np.complex128
-    # hashing the contiguous buffer reads the bytes tobytes() would copy
-    assert hashlib.sha256(np.ascontiguousarray(data)).hexdigest() == HARMONIC_FRAME_DIGESTS[name]
+    assert _bytes_digest(data) == HARMONIC_FRAME_DIGESTS[name]
+
+
+_RAW = np.random.default_rng(19).standard_normal((2, 96, 160))
+
+# frames whose columns are rescaled to unit norm, so their bytes carry the
+# bits of the column norms; the layouts differ in how a column's squares
+# are summed (in row order, pairwise down a contiguous column, re^2 + im^2
+# per entry)
+NORMALIZED_FRAME_CASES = {
+    "gaussian-512x2048-seed1": lambda: build_gaussian(GaussianFrameSpec(512, 2048, 1)),
+    "gaussian-512x2048-seed2": lambda: build_gaussian(GaussianFrameSpec(512, 2048, 2)),
+    "gaussian-128x512-seed0": lambda: build_gaussian(GaussianFrameSpec(128, 512, 0)),
+    "real-c-order": lambda: Frame(_RAW[0]),
+    "real-fortran": lambda: Frame(np.asfortranarray(_RAW[0])),
+    "real-column-slice": lambda: Frame(_RAW[0][:, ::2]),
+    "complex-c-order": lambda: Frame(_RAW[0] + 1j * _RAW[1]),
+    "complex-fortran": lambda: Frame(np.asfortranarray(_RAW[0] + 1j * _RAW[1])),
+}
+
+# SHA-256 of ``frame.data.tobytes()``
+NORMALIZED_FRAME_DIGESTS = {
+    "complex-c-order": "88ba6c711ff67c0a6023869dfc6773019d173cd098169931be571fb62e9ff705",
+    "complex-fortran": "8770b11921d7007e3d1785b6bfc1a9ef5b908d3fc829bb635d428abd0049db2f",
+    "gaussian-128x512-seed0": "b3f05a245679a889c139aeed79c8ad853cd90a0b68b7a9556de6b0d5b771ca28",
+    "gaussian-512x2048-seed1": "9edab731ad98c2d28765751dd1bf388a2b7268426fa75138528881e7a7941ff8",
+    "gaussian-512x2048-seed2": "74265fdc7acc4113165e3b25b352f9c128d81bb4a85784007ea843fac3fd4ad3",
+    "real-c-order": "14a36bf9f06d5ea61d6b1b7262ba774a9f064b676becf117f72e15a7fd2da409",
+    "real-column-slice": "aab067be0899c2a6319c074daf22f58350098a615490b6f1ead501a9c2cba835",
+    "real-fortran": "72edb315b98b21964c93fde6d96fd730c407e8b8b15ace7aca443035478c3d19",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_FRAME_CASES))
+def test_normalized_frame_bytes_digest(name):
+    assert _bytes_digest(NORMALIZED_FRAME_CASES[name]().data) == NORMALIZED_FRAME_DIGESTS[name]
