@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Frame, _GroupFrame
+from .frame import Frame, _column_norms, _GroupFrame
 from .gf2m import GF2m, least_irreducible
 
 #: Hard cap on the number of code-frame columns (2^((t+1)m)).
@@ -25,6 +25,13 @@ _RESAMPLE_LIMIT = 100
 
 # Entries per row block of `harmonic_frame_from_rows`: 32 rows at N = 2048.
 _HARMONIC_BLOCK_ENTRIES = 1 << 16
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a negative seed with a message that names it; numpy's
+    generator would refuse it only as "expected non-negative integer"."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,7 @@ class GaussianFrameSpec:
             raise ValueError("rows must be >= 1")
         if self.cols < 2:
             raise ValueError("cols must be >= 2")
+        _check_seed(self.seed)
 
     def regime_bounds(self) -> tuple[float, float]:
         """(60 ln N, (N-1)/(4 ln N)): the geometry regime is lo <= M <= hi."""
@@ -55,12 +63,15 @@ def build_gaussian(spec: GaussianFrameSpec) -> Frame:
     """Draw the seeded Gaussian matrix and normalize each column.
 
     A column whose norm falls below 1e-12 (never observed in practice) is
-    resampled from the same generator, with a warning.
+    resampled from the same generator, with a warning.  The draw is
+    normalized in place and the column norms are read without a squared
+    copy (see `frame._column_norms`), so the build peaks at about the
+    frame's own bytes.
     """
     rng = np.random.default_rng(spec.seed)
     g = rng.standard_normal((spec.rows, spec.cols))
     for _ in range(_RESAMPLE_LIMIT):
-        tiny = np.flatnonzero(np.linalg.norm(g, axis=0) < 1e-12)
+        tiny = np.flatnonzero(_column_norms(g) < 1e-12)
         if tiny.size == 0:
             break
         warnings.warn(f"resampling {tiny.size} near-zero Gaussian column(s)", RuntimeWarning)
@@ -79,6 +90,7 @@ class HarmonicFrameSpec:
     def __post_init__(self):
         if not 1 <= self.target_rows <= self.dft_size:
             raise ValueError("need 1 <= target_rows <= dft_size")
+        _check_seed(self.seed)
 
     def regime_bounds(self) -> tuple[float, float]:
         """(16 ln N, N/3): the geometry regime is lo <= M <= hi."""

@@ -137,6 +137,7 @@ def run_gaussian_geometry(rows=512, cols=2048, trials=200, seed=1) -> Experiment
         frame = build_gaussian(GaussianFrameSpec(rows, cols, s))
         mu, nu = coherence(frame)
         sn = spectral_norm(frame)
+        del frame  # freed before the next trial's frame is drawn
         ok = mu <= bound_mu and nu <= bound_nu and sn <= bound_sn
         hits += ok
         out_rows.append((i, s, mu, nu, sn, ok))
@@ -162,7 +163,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
     """Unconditional tightness plus the three probabilistic harmonic checks."""
     _require_trials(trials=trials)
     n, m = dft_size, target_rows
-    spec = HarmonicFrameSpec(n, m, seed)  # rejects bad sizes before the bound arithmetic
+    spec = HarmonicFrameSpec(n, m)  # rejects bad sizes before the bound arithmetic
     bound_iii = math.sqrt(118.0 * (n - m) * math.log(n) / (m * n))
     out_rows = []
     hits = 0
@@ -178,6 +179,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
         if tight_err > 1e-9:
             all_tight = False
         mu, nu = coherence(frame)
+        del frame  # freed before the next trial's frame is built
         ok_i = 0.5 * m <= card <= 1.5 * m
         ok_ii = nu <= scp2_bound(mu, card)
         ok_iii = mu <= bound_iii

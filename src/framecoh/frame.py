@@ -45,11 +45,13 @@ class Frame:
         Matrix whose columns are the frame elements.  Real input is stored
         as float64, complex input as complex128.
     normalize : bool, optional
-        If True (default), every column is rescaled to unit norm; exactly
+        If True (default), every column is divided by its norm as
+        ``np.linalg.norm(data, axis=0)`` gives it, bit for bit; exactly
         zero columns are rejected.  If False, the columns are validated
         against the unit-norm tolerance but left bit-for-bit untouched,
         which is what norm-preserving transforms (flips, wiggles) and the
-        file reader use.
+        file reader use.  Neither mode forms a temporary the size of the
+        frame for real input in C order; see `_column_norms`.
     """
 
     __slots__ = ("data",)
@@ -75,8 +77,13 @@ class Frame:
 
         Finiteness is read off the column norms, since a NaN or inf entry
         makes its column's norm non-finite; only then are the entries
-        scanned.  In validate-only mode the squared norms are summed from
-        the real and imaginary views, with no frame-sized temporary.
+        scanned.  The normalize step divides by `_column_norms`, which has
+        the bits of ``np.linalg.norm`` and forms no frame-sized temporary
+        for real input whose rows are contiguous (what the builders make);
+        other layouts pay np.linalg.norm's squared copy to keep its bits.
+        In validate-only mode the squared norms are summed from the real
+        and imaginary views, with no frame-sized temporary on any layout;
+        their bits only meet the tolerance test.
         """
         if arr.ndim != 2:
             raise ValueError(f"frame data must be 2-D, got shape {arr.shape}")
@@ -85,7 +92,7 @@ class Frame:
         cplx = np.iscomplexobj(arr)
         arr = arr.astype(np.complex128 if cplx else np.float64, copy=False)
         if normalize:
-            norms = np.linalg.norm(arr, axis=0)
+            norms = _column_norms(arr)
         else:
             norms = np.sqrt(_squared_norms(arr))
         finite = np.isfinite(norms)
@@ -154,6 +161,25 @@ def _squared_norms(arr: np.ndarray) -> np.ndarray:
     return s[:, 0] + s[:, 1]
 
 
+def _column_norms(arr: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(arr, axis=0)``, bit for bit, with no frame-sized
+    temporary where the bits allow it.
+
+    np.linalg.norm squares every entry into a new array, then sums that
+    array down its columns.  For real input whose rows are contiguous and
+    which has two or more columns (C order, as the builders make) the sum
+    adds each column's squares in row order, as the einsum of
+    `_squared_norms` does, so its square root is returned.  Every other
+    layout keeps np.linalg.norm, whose order the einsum does not match: a
+    contiguous column (Fortran order, or a single column) is summed
+    pairwise, and complex input is summed as re^2 + im^2 per entry, where
+    `_squared_norms` adds the column sums of the two parts.
+    """
+    if np.iscomplexobj(arr) or arr.strides[1] != arr.itemsize or arr.shape[1] < 2:
+        return np.linalg.norm(arr, axis=0)
+    return np.sqrt(_squared_norms(arr))
+
+
 class _GroupFrame(Frame):
     """Frame whose Gram is fixed by its first row.
 
@@ -198,9 +224,11 @@ def coherence(frame: Frame) -> tuple[float, float]:
     the first Gram row.  Every other frame, including one read from a file
     or produced by a flip or wiggle, gets mu as a running max over the
     upper block triangle of the Gram, one `gram` block of B rows at a time
-    with B = max(1, 2^19 // N), so no N x N array is formed.  Its nu is
-    read off F^H (F 1), whose entry i is the whole Gram row sum
-    sum_j <f_i, f_j>, minus the squared norm of f_i: O(MN) time and memory.
+    with B = max(1, 2^19 // N), so no N x N array is formed.  Only one
+    block is live at a time: each is freed before the next is formed, and
+    a real block's moduli are taken in place.  Its nu is read off
+    F^H (F 1), whose entry i is the whole Gram row sum sum_j <f_i, f_j>,
+    minus the squared norm of f_i: O(MN) time and memory.
     `worst_case_coherence` and `average_coherence` each run only the
     kernel of the value they return.
     """
@@ -231,11 +259,13 @@ def _mu_by_blocks(frame: Frame) -> float:
     """mu as a running max over upper-triangle Gram blocks of B rows."""
     n = frame.cols
     step = max(1, _BLOCK_ENTRIES // n)
+    in_place = not frame.is_complex  # a complex block's moduli need a real array
     mu = 0.0
     for start in range(0, n, step):
         block = gram(frame, start, start + step)
         np.fill_diagonal(block, 0.0)  # entry (i, i) of a block is <f, f>
-        mu = max(mu, float(np.abs(block).max()))
+        mu = max(mu, float(np.abs(block, out=block if in_place else None).max()))
+        del block  # freed before the next block is formed
     return mu
 
 

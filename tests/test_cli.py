@@ -224,6 +224,10 @@ CONTRACT_ROWS = {
                           "sparsity K = 11 exceeds the signal length N = 10"),
     "recover-negative-lam": (["recover", "{demo}", *_RECOVER, "--lam", "-1"],
                              "threshold lam must be positive"),
+    "construct-gaussian-seed-1": (["construct", "gaussian", "-M", "4", "-N", "8", "--seed", "-1",
+                                   "-o", "{tmp}/g.frame"], "seed must be >= 0, got -1"),
+    "construct-harmonic-seed-1": (["construct", "harmonic", "-M", "4", "-N", "16", "--seed", "-1",
+                                   "-o", "{tmp}/h.frame"], "seed must be >= 0, got -1"),
     "construct-code-t0": (["construct", "code", "-t", "0", "-o", "{tmp}/c.frame"],
                           "t must be >= 1"),
     "construct-poly-zz": (["construct", "code", "--poly", "zz", "-o", "{tmp}/c.frame"],
@@ -408,6 +412,16 @@ def test_experiment_bad_size_names_parameter_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, size", [("gaussian-geometry", ["-M", "96", "-N", "256"]),
+                                        ("harmonic-geometry", ["-N", "128", "-M", "32"])])
+def test_experiment_accepts_negative_seed(capsys, name, size):
+    # trial_seed turns any base seed into a valid generator seed
+    rc = main(["experiment", name, *size, "--trials", "1", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out.endswith("RESULT: PASS\n")
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

@@ -43,6 +43,8 @@ class TestGaussian:
             GaussianFrameSpec(0, 8)
         with pytest.raises(ValueError):
             GaussianFrameSpec(4, 1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            GaussianFrameSpec(4, 8, seed=-1)
 
     def test_regime_flag(self):
         # 60 ln 2048 = 457.5 <= 512, but 512 > (2048-1)/(4 ln 2048) = 67.1
@@ -94,6 +96,8 @@ class TestHarmonic:
             harmonic_frame_from_rows(16, [16])
         with pytest.raises(ValueError):
             HarmonicFrameSpec(16, 17)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            HarmonicFrameSpec(16, 4, seed=-1)
 
     def test_regime_flag(self):
         assert not HarmonicFrameSpec(1024, 64).regime_ok()  # 16 ln 1024 = 110.9 > 64

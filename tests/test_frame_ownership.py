@@ -27,7 +27,14 @@ from framecoh import (
     spectral_norm,
     write_frame,
 )
-from framecoh.frame import _GroupFrame, _squared_norms
+from framecoh.experiments import run_gaussian_geometry
+from framecoh.frame import (
+    _BLOCK_ENTRIES,
+    _column_norms,
+    _GroupFrame,
+    _mu_by_blocks,
+    _squared_norms,
+)
 
 ALL_BUT_ONE_ROW = [r for r in range(2048) if r != 862]
 
@@ -52,6 +59,20 @@ class TestMemory:
     def test_harmonic_frame_built_once(self):
         frame, peak = _peak_bytes(lambda: harmonic_frame_from_rows(2048, ALL_BUT_ONE_ROW))
         assert peak <= 1.05 * frame.data.nbytes
+
+    def test_gaussian_frame_built_once(self):
+        frame, peak = _peak_bytes(lambda: build_gaussian(GaussianFrameSpec(512, 2048, 1)))
+        assert peak <= 1.15 * frame.data.nbytes
+
+    def test_mu_holds_one_gram_block(self):
+        frame = build_gaussian(GaussianFrameSpec(512, 2048, 1))
+        _, peak = _peak_bytes(lambda: _mu_by_blocks(frame))
+        assert peak <= 1.1 * _BLOCK_ENTRIES * frame.data.itemsize
+
+    def test_gaussian_trials_hold_one_frame(self):
+        # the first trial's frame must be gone before the second is drawn
+        _, peak = _peak_bytes(lambda: run_gaussian_geometry(512, 2048, trials=2))
+        assert peak <= 512 * 2048 * 8 + 1.1 * _BLOCK_ENTRIES * 8
 
     def test_spectral_norm_copies_no_adjoint(self):
         frame = harmonic_frame_from_rows(2048, ALL_BUT_ONE_ROW)
@@ -167,6 +188,33 @@ def test_squared_norms_bit_equal_to_spelled_out_sums(name):
     want = _spelled_out_squared_norms(arr)
     assert got.dtype == np.float64 and got.shape == (arr.shape[1],)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _draws(shape, count=20):
+    rng = np.random.default_rng(29)
+    return [rng.standard_normal(shape) for _ in range(count)]
+
+
+# each layout over several draws: where np.linalg.norm sums pairwise, the
+# bits of a row-order sum differ in some but not all of them
+COLUMN_NORM_INPUTS = {
+    "real-c-order": _draws((37, 53)),
+    "real-one-row": _draws((1, 9)),
+    "real-two-columns": _draws((100, 2)),
+    "real-one-column": _draws((100, 1)),
+    "real-row-slice": [a[::2] for a in _draws((100, 3))],
+    "real-fortran": [np.asfortranarray(a) for a in _draws((37, 53))],
+    "real-column-slice": [a[:, ::2] for a in _draws((37, 53))],
+    "complex-c-order": [a + 1j * b for a, b in zip(_draws((37, 53)), _draws((37, 53))[::-1])],
+    "complex-fortran": [np.asfortranarray(a + 1j * a[::-1]) for a in _draws((37, 53))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_NORM_INPUTS))
+def test_column_norms_bit_equal_to_linalg_norm(name):
+    for arr in COLUMN_NORM_INPUTS[name]:
+        got = _column_norms(arr)
+        assert np.array_equal(got.view(np.int64), np.linalg.norm(arr, axis=0).view(np.int64))
 
 
 def _complex_gaussian(m, n, seed):
