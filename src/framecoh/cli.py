@@ -212,7 +212,7 @@ def _cmd_experiment(args) -> int:
     file_values = read_config_file(args.config) if args.config else {}
     name = args.id or file_values.get("experiment")
     if name not in _EXPERIMENT_KEYS:
-        run_experiment(name)  # raises the unknown-experiment error
+        run_experiment(name)  # raises the no-experiment or unknown-experiment error
 
     keys = _EXPERIMENT_KEYS[name]
     unknown = sorted(set(file_values) - set(keys) - {"experiment"})

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame import Frame, _column_norms, _GroupFrame
+from .frame import Frame
 from .gf2m import GF2m, least_irreducible
 
 #: Hard cap on the number of code-frame columns (2^((t+1)m)).
@@ -25,6 +25,21 @@ _RESAMPLE_LIMIT = 100
 
 # Entries per row block of `harmonic_frame_from_rows`: 32 rows at N = 2048.
 _HARMONIC_BLOCK_ENTRIES = 1 << 16
+
+
+class _GroupFrame(Frame):
+    """Frame whose Gram is fixed by its first row.
+
+    Only the harmonic and code constructions return it: their Gram entry
+    <f_a, f_b> depends only on b - a mod N or on a XOR b.  Transforms and
+    the file reader build a plain `Frame`, which never has this type.
+    """
+
+    __slots__ = ()
+
+    def _group_coherence(self) -> tuple[float, float]:
+        # looked up in the module at call time, so perfbench's tracer sees it
+        return xor_stationary_coherence(self)
 
 
 def _check_seed(seed: int) -> None:
@@ -62,21 +77,12 @@ class GaussianFrameSpec:
 def build_gaussian(spec: GaussianFrameSpec) -> Frame:
     """Draw the seeded Gaussian matrix and normalize each column.
 
-    A column whose norm falls below 1e-12 (never observed in practice) is
-    resampled from the same generator, with a warning.  The draw is
-    normalized in place and the column norms are read without a squared
-    copy (see `frame._column_norms`), so the build peaks at about the
-    frame's own bytes.
+    One draw with no condition on the norms, normalized in place: a
+    column's direction does not depend on its scale, short of float64
+    underflow near 1e-154.  The build peaks at about the frame's own bytes.
     """
     rng = np.random.default_rng(spec.seed)
-    g = rng.standard_normal((spec.rows, spec.cols))
-    for _ in range(_RESAMPLE_LIMIT):
-        tiny = np.flatnonzero(_column_norms(g) < 1e-12)
-        if tiny.size == 0:
-            break
-        warnings.warn(f"resampling {tiny.size} near-zero Gaussian column(s)", RuntimeWarning)
-        g[:, tiny] = rng.standard_normal((spec.rows, tiny.size))
-    return Frame._own(g)
+    return Frame._own(rng.standard_normal((spec.rows, spec.cols)))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .ost import (
     draw_signal,
     noise_floor_threshold,
     ost_trials,
+    self_interference_floor,
     sparsity_regime_limit,
     weak_rip_estimate,
 )
@@ -370,7 +371,7 @@ def run_ost_recovery(
     out_rows = ost_trials(frame, k, law, sigma2, t_param, mu, seeds, lam=None, snr=None)
     # the self-interference floor is attainable for flat K-sparse signals only
     # when (20/t) mu sqrt(2 K ln N) < 1; report the arithmetic either way
-    mu_floor_coeff = (20.0 / t_param) * mu * math.sqrt(2.0 * k * math.log(cols))
+    mu_floor_coeff = self_interference_floor(mu, t_param, cols, math.sqrt(k))
     _, _, khat_sizes, exact, _, _, ok = zip(*out_rows)
     passed, gate_line = _gate(sum(ok), trials, 1.0 - 10.0 / cols, "1 - 10/N = {:.4f}")
 
@@ -449,6 +450,6 @@ RUNNERS = {
 
 def run_experiment(name: str, **params) -> ExperimentReport:
     if name not in RUNNERS:
-        known = ", ".join(sorted(RUNNERS))
-        raise ValueError(f"unknown experiment {name!r}; expected one of: {known}")
+        what = "no experiment named" if name is None else f"unknown experiment {name!r}"
+        raise ValueError(f"{what}; expected one of: {', '.join(sorted(RUNNERS))}")
     return RUNNERS[name](**params)

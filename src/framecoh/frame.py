@@ -37,7 +37,7 @@ class Frame:
     own array.  The package's builders, transforms and file reader instead
     hand over the array they have just built through `Frame._own`, which
     runs the same checks without the copy.  Either way the stored array is
-    read-only.
+    read-only.  Group frames override `_group_coherence` (see `coherence`).
 
     Parameters
     ----------
@@ -139,6 +139,10 @@ class Frame:
     def __repr__(self):
         return f"Frame({self.rows}x{self.cols}, {self.scalar_field})"
 
+    def _group_coherence(self) -> tuple[float, float] | None:
+        """(mu, nu) off the first Gram row for a group frame; None here."""
+        return None
+
 
 def _squared_norms(arr: np.ndarray) -> np.ndarray:
     """Squared column norms with no frame-sized temporary.
@@ -180,17 +184,6 @@ def _column_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_norms(arr))
 
 
-class _GroupFrame(Frame):
-    """Frame whose Gram is fixed by its first row.
-
-    Only the harmonic and code constructions return it: their Gram entry
-    <f_a, f_b> depends only on b - a mod N or on a XOR b.  Transforms and
-    the file reader build a plain `Frame`, which never has this type.
-    """
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True)
 class CoherenceReport:
     """Geometry summary of a frame plus the two strong-coherence verdicts."""
@@ -219,9 +212,9 @@ def coherence(frame: Frame) -> tuple[float, float]:
 
     mu is the largest |<f_i, f_j>| over distinct column pairs; nu is
     max_i |sum_{j != i} <f_i, f_j>| scaled by 1/(N-1).  Harmonic and code
-    frames as constructed are group frames and take the O(MN) path of
-    `constructions.xor_stationary_coherence`, which reads both values off
-    the first Gram row.  Every other frame, including one read from a file
+    frames as constructed are group frames, whose own `_group_coherence`
+    (`constructions.xor_stationary_coherence`) reads both values off the
+    first Gram row in O(MN).  Every other frame, including one read from a file
     or produced by a flip or wiggle, gets mu as a running max over the
     upper block triangle of the Gram, one `gram` block of B rows at a time
     with B = max(1, 2^19 // N), so no N x N array is formed.  Only one
@@ -246,13 +239,7 @@ def _group_coherence(frame: Frame) -> tuple[float, float] | None:
     """(mu, nu) of a group frame, or None for any other frame."""
     if frame.cols < 2:
         raise ValueError("coherence undefined for a single vector")
-    if not isinstance(frame, _GroupFrame):
-        return None
-    # imported here because constructions imports this module; called
-    # through the module so that perfbench's tracer sees the call
-    from . import constructions
-
-    return constructions.xor_stationary_coherence(frame)
+    return frame._group_coherence()
 
 
 def _mu_by_blocks(frame: Frame) -> float:

@@ -217,8 +217,13 @@ def floor_sets(x, sigma2: float, mu: float, t: float) -> tuple[np.ndarray, np.nd
     n = dense.size
     mags = np.abs(dense)
     tau_sigma = noise_floor_threshold(sigma2, n, t)
-    tau_mu = (20.0 / t) * mu * float(np.linalg.norm(dense)) * math.sqrt(2.0 * math.log(n))
+    tau_mu = self_interference_floor(mu, t, n, float(np.linalg.norm(dense)))
     return np.flatnonzero(mags > tau_sigma), np.flatnonzero(mags > tau_mu)
+
+
+def self_interference_floor(mu: float, t: float, n: int, norm: float) -> float:
+    """(20/t) mu ||x|| sqrt(2 ln N), with ``norm`` = ||x||."""
+    return (20.0 / t) * mu * norm * math.sqrt(2.0 * math.log(n))
 
 
 def noise_floor_threshold(sigma2: float, n: int, t: float) -> float:

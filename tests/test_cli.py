@@ -236,6 +236,12 @@ CONTRACT_ROWS = {
     "bounds-empty-range": (["bounds", "--nmin", "10", "--nmax", "5"],
                            "range of N values must be nonempty"),
     "missing-config": (["experiment", "--config", "{tmp}/missing/e.cfg"], _NO_FILE),
+    "experiment-no-id": (["experiment"],
+                         "no experiment named; expected one of: bounds-figure, code-geometry, "
+                         "flip-guarantee, gaussian-geometry, harmonic-geometry, ost-recovery, "
+                         "weak-rip"),
+    "code-geometry-m11": (["experiment", "code-geometry", "-m", "11", "-t", "1"],
+                          "dense tables limited to m <= 10, got m=11"),
     "config-trials-abc": (["experiment", "flip-guarantee", "--config", "{tmp}/trials.cfg"],
                           "trials: expected int, got 'abc'"),
     "flag-trials-abc": (["experiment", "flip-guarantee", "--trials", "abc"],

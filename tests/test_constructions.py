@@ -1,5 +1,6 @@
 """Gaussian, harmonic, and code-based frame constructions."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,34 @@ class TestGaussian:
     def test_unit_columns(self):
         f = build_gaussian(GaussianFrameSpec(16, 64, seed=5))
         assert np.allclose(np.linalg.norm(f.data, axis=0), 1.0, atol=1e-10)
+
+    def test_tiny_column_normalizes_without_redraw(self, monkeypatch):
+        # one draw, whatever its norms: a column of norm ~1e-13 keeps its
+        # direction and comes out unit-norm, with no warning and no redraw
+        default_rng = np.random.default_rng
+        drawn = []
+
+        class TinyThirdColumn:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def standard_normal(self, shape):
+                g = self.rng.standard_normal(shape)
+                g[:, 2] *= 1e-13
+                drawn.append(g.copy())
+                return g
+
+        monkeypatch.setattr(np.random, "default_rng", TinyThirdColumn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = build_gaussian(GaussianFrameSpec(4, 8, seed=3))
+        (g,) = drawn
+        assert 0 < np.linalg.norm(g[:, 2]) < 1e-12
+        assert np.array_equal(frame.data, g / np.linalg.norm(g, axis=0))
+        assert abs(np.linalg.norm(frame.data[:, 2]) - 1.0) <= 1e-15
+        direction = default_rng(3).standard_normal((4, 8))[:, 2]
+        assert np.allclose(frame.data[:, 2], direction / np.linalg.norm(direction),
+                           rtol=0, atol=1e-15)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

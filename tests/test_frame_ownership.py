@@ -27,14 +27,9 @@ from framecoh import (
     spectral_norm,
     write_frame,
 )
+from framecoh.constructions import _GroupFrame
 from framecoh.experiments import run_gaussian_geometry
-from framecoh.frame import (
-    _BLOCK_ENTRIES,
-    _column_norms,
-    _GroupFrame,
-    _mu_by_blocks,
-    _squared_norms,
-)
+from framecoh.frame import _BLOCK_ENTRIES, _column_norms, _mu_by_blocks, _squared_norms
 
 ALL_BUT_ONE_ROW = [r for r in range(2048) if r != 862]
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import framecoh.constructions
 import framecoh.frame
 from framecoh import (
     CodeFrameSpec,
@@ -266,3 +267,20 @@ def test_each_query_runs_only_its_kernel(monkeypatch):
 
     monkeypatch.setattr(framecoh.frame, "gram", refuse)
     assert average_coherence(frame) == nu
+
+
+def test_group_path_looks_its_kernel_up_at_call_time(monkeypatch):
+    # perfbench's tracer rebinds module attributes, so a group frame must
+    # reach xor_stationary_coherence through its module, not a bound copy
+    frames = [_constructed("with-0"), _constructed(sorted(CODE_SPECS)[0])]
+    real = framecoh.constructions.xor_stationary_coherence
+    calls = []
+
+    def counted(frame):
+        calls.append(frame)
+        return real(frame)
+
+    monkeypatch.setattr(framecoh.constructions, "xor_stationary_coherence", counted)
+    for frame in frames:
+        assert coherence(frame) == real(frame)
+    assert calls == frames

@@ -5,6 +5,8 @@ spellings below may occur at most once across ``src/framecoh/*.py``:
 
 - ``164.0``: the SCP-1 right-hand side 1/(164 ln N), `frame.scp1_bound`;
 - ``sigma2 * math.log(``: the noise scale sqrt(2 sigma^2 ln N), `ost.noise_scale`;
+- ``20.0 / t``: the self-interference floor (20/t) mu ||x|| sqrt(2 ln N),
+  `ost.self_interference_floor`;
 - ``joint frequency``: the frequency-gate summary line, `experiments._gate`;
 - ``rng.choice(``: the K-sparse support draw, `ost.draw_signal`;
 - ``unknown experiment``: the unknown-name error, `experiments.run_experiment`;
@@ -22,7 +24,7 @@ SOURCES = sorted(Path(framecoh.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize(
     "spelling",
     ["164.0", "sigma2 * math.log(", "joint frequency", "rng.choice(", "unknown experiment",
-     "K must be >= 0"],
+     "K must be >= 0", "20.0 / t"],
 )
 def test_formula_written_once(spelling):
     where = [
