@@ -34,6 +34,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _emit_csv(text, path, what):
+    """CSV ``text`` to ``path`` with a ``wrote ...`` line, or to stdout if no path."""
+    if path:
+        _write_text(path, text)
+        print(f"wrote {what} to {path}")
+    else:
+        sys.stdout.write(text)
+
+
 def _parse(key, text, cast):
     """``cast(text)``; a value it rejects raises a ValueError that names ``key``."""
     try:
@@ -77,12 +86,13 @@ def _cmd_construct(args) -> int:
         kept = None
         stem = f"code_m{args.m}_t{args.t}"
 
+    report = scp_check(frame)  # a frame it refuses is neither written nor printed
     out = args.output or default_frame_name(stem)
     write_frame(out, frame, binary=args.binary)
     print(f"wrote {frame.rows} x {frame.cols} frame to {out}")
     if kept is not None:
         print("selected rows:", " ".join(str(int(r)) for r in kept))
-    _print_report(frame, scp_check(frame))
+    _print_report(frame, report)
     return 0
 
 
@@ -104,14 +114,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_flip(args) -> int:
     frame = read_frame(args.frame)
+    nu = average_coherence(frame)  # a frame it refuses is neither written nor printed
     flipped, pattern = linear_time_flip(frame)
+    nu_flipped = average_coherence(flipped)
     out = args.output or (str(args.frame) + ".flipped")
     write_frame(out, flipped, binary=args.binary)
     if args.pattern_out:
         _write_text(args.pattern_out, pattern.to_string() + "\n")
     print(pattern.to_string())
-    print(f"average coherence: {average_coherence(frame):.12g} -> "
-          f"{average_coherence(flipped):.12g}")
+    print(f"average coherence: {nu:.12g} -> {nu_flipped:.12g}")
     print(f"wrote flipped frame to {out}")
     return 0
 
@@ -136,12 +147,8 @@ def _cmd_recover(args) -> int:
     rows = ost_trials(frame, args.K, law, args.sigma2, args.t, mu, seeds,
                       lam=args.lam, snr=args.snr)
     hits = sum(row[-1] for row in rows)
-    text = ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text()
-    if args.output:
-        _write_text(args.output, text)
-        print(f"wrote per-trial CSV to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv(ExperimentReport("recover", list(OST_TRIAL_HEADER), rows).csv_text(),
+              args.output, "per-trial CSV")
     lo, hi = wilson_interval(hits, args.trials)
     print(f"ok in {hits}/{args.trials} trials; Wilson 95% [{lo:.4f}, {hi:.4f}]")
     return 0
@@ -149,12 +156,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_bounds(args) -> int:
     rows = bound_table(args.M, range(args.nmin, args.nmax + 1))
-    text = ExperimentReport("bounds", list(BOUND_HEADER), rows).csv_text()
-    if args.output:
-        _write_text(args.output, text)
-        print(f"wrote bound table to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _emit_csv(ExperimentReport("bounds", list(BOUND_HEADER), rows).csv_text(),
+              args.output, "bound table")
     vacuous = [
         n
         for (n, w, c, r, d) in rows

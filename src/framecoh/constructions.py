@@ -21,8 +21,6 @@ MAX_CODE_COLUMNS = 1 << 24
 #: Additional cap on total entries so a build cannot exhaust memory.
 MAX_CODE_ENTRIES = 1 << 27
 
-_RESAMPLE_LIMIT = 100
-
 # Entries per row block of `harmonic_frame_from_rows`: 32 rows at N = 2048.
 _HARMONIC_BLOCK_ENTRIES = 1 << 16
 
@@ -143,11 +141,12 @@ def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:
     """Sample the row set, build the frame, and return both.
 
     An empty Bernoulli selection is resampled with the seed incremented,
-    with a warning, so Monte Carlo loops never abort.
+    with a warning, until one is nonempty; ``target_rows >= 1`` makes
+    p >= 1/N, so even 100 empty draws have probability below e^-100.
     """
     p = spec.target_rows / spec.dft_size
     seed = spec.seed
-    for _ in range(_RESAMPLE_LIMIT):
+    while True:
         rng = np.random.default_rng(seed)
         keep = np.flatnonzero(rng.random(spec.dft_size) < p)
         if keep.size:
@@ -157,7 +156,6 @@ def build_harmonic(spec: HarmonicFrameSpec) -> tuple[Frame, np.ndarray]:
             RuntimeWarning,
         )
         seed += 1
-    raise RuntimeError("row selection stayed empty after 100 reseeds")
 
 
 @dataclass(frozen=True)

@@ -150,8 +150,7 @@ def exhaustive_flip_oracle(frame: Frame) -> tuple[Frame, FlipPattern, float]:
         v = g @ signs  # v[i, p] = sum_j G[i, j] s_j
         v *= signs
         v -= diag
-        mags = np.abs(v, out=v) if np.isrealobj(v) else np.abs(v)
-        nus = np.maximum.reduce(mags, axis=0)
+        nus = np.maximum.reduce(np.abs(v, out=v).real, axis=0)
         nus /= n - 1
         k = int(np.argmin(nus))  # first minimum: lowest index within the block
         if nus[k] < best_nu:

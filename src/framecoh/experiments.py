@@ -168,7 +168,6 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
     bound_iii = math.sqrt(118.0 * (n - m) * math.log(n) / (m * n))
     out_rows = []
     hits = 0
-    all_tight = True
     worst_tight = 0.0
     for i in range(trials):
         s = trial_seed(seed, i)
@@ -177,8 +176,6 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
         sn2 = spectral_norm(frame) ** 2
         tight_err = abs(sn2 - n / card)
         worst_tight = max(worst_tight, tight_err)
-        if tight_err > 1e-9:
-            all_tight = False
         mu, nu = coherence(frame)
         del frame  # freed before the next trial's frame is built
         ok_i = 0.5 * m <= card <= 1.5 * m
@@ -188,6 +185,7 @@ def run_harmonic_geometry(dft_size=1024, target_rows=64, trials=200, seed=1) -> 
         hits += ok
         out_rows.append((i, s, card, tight_err, mu, nu, ok_i, ok_ii, ok_iii, ok))
 
+    all_tight = worst_tight <= 1e-9
     level = 1.0 - 4.0 / n - 1.0 / n**2
     passed, gate_line = _gate(hits, trials, level, "1 - 4/N - 1/N^2 = {:.6f}")
     return ExperimentReport(

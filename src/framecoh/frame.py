@@ -46,12 +46,13 @@ class Frame:
         as float64, complex input as complex128.
     normalize : bool, optional
         If True (default), every column is divided by its norm as
-        ``np.linalg.norm(data, axis=0)`` gives it, bit for bit; exactly
-        zero columns are rejected.  If False, the columns are validated
-        against the unit-norm tolerance but left bit-for-bit untouched,
-        which is what norm-preserving transforms (flips, wiggles) and the
-        file reader use.  Neither mode forms a temporary the size of the
-        frame for real input in C order; see `_column_norms`.
+        ``np.linalg.norm(data, axis=0)`` gives it, bit for bit; zero
+        columns are rejected.  If False, the columns are left bit-for-bit
+        untouched, which is what norm-preserving transforms (flips,
+        wiggles) and the file reader use.  Either way every stored column
+        must be unit norm within `UNIT_NORM_TOL`.  Neither mode forms a
+        temporary the size of the frame for real input in C order; see
+        `_column_norms`.
     """
 
     __slots__ = ("data",)
@@ -81,9 +82,11 @@ class Frame:
         the bits of ``np.linalg.norm`` and forms no frame-sized temporary
         for real input whose rows are contiguous (what the builders make);
         other layouts pay np.linalg.norm's squared copy to keep its bits.
-        In validate-only mode the squared norms are summed from the real
-        and imaginary views, with no frame-sized temporary on any layout;
-        their bits only meet the tolerance test.
+        In validate-only mode, and on the quotient after normalizing, the
+        squared norms are summed from the real and imaginary views, with no
+        frame-sized temporary on any layout; their bits only meet the
+        tolerance test, so a column whose squares underflow (entries near
+        1e-160) is refused rather than stored off unit norm.
         """
         if arr.ndim != 2:
             raise ValueError(f"frame data must be 2-D, got shape {arr.shape}")
@@ -91,10 +94,7 @@ class Frame:
             raise ValueError(f"frame must be at least 1 x 1, got shape {arr.shape}")
         cplx = np.iscomplexobj(arr)
         arr = arr.astype(np.complex128 if cplx else np.float64, copy=False)
-        if normalize:
-            norms = _column_norms(arr)
-        else:
-            norms = np.sqrt(_squared_norms(arr))
+        norms = _column_norms(arr) if normalize else np.sqrt(_squared_norms(arr))
         finite = np.isfinite(norms)
         if not finite.all() and not np.isfinite(arr).all():
             raise ValueError("frame entries must be finite")
@@ -104,9 +104,13 @@ class Frame:
                 raise ValueError(f"column {bad} has a norm that overflows float64")
             if np.any(norms == 0.0):
                 bad = int(np.flatnonzero(norms == 0.0)[0])
+                if arr[:, bad].any():  # nonzero entries whose squares underflow
+                    raise ValueError(f"column {bad} has a norm that underflows float64")
                 raise ValueError(f"column {bad} is exactly zero and cannot be normalized")
             np.divide(arr, norms, out=arr)
-        elif np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):  # an overflowed norm lands here
+            # subnormal squares lose bits, so the quotient meets the same test
+            norms = np.sqrt(_squared_norms(arr))
+        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):  # an overflowed norm lands here
             # the message reports the norms as np.linalg.norm gives them
             norms = np.linalg.norm(arr, axis=0)
             bad = int(np.argmax(np.abs(norms - 1.0)))
@@ -219,7 +223,7 @@ def coherence(frame: Frame) -> tuple[float, float]:
     upper block triangle of the Gram, one `gram` block of B rows at a time
     with B = max(1, 2^19 // N), so no N x N array is formed.  Only one
     block is live at a time: each is freed before the next is formed, and
-    a real block's moduli are taken in place.  Its nu is read off
+    a block's moduli are taken in place, in its real parts.  Its nu is read off
     F^H (F 1), whose entry i is the whole Gram row sum sum_j <f_i, f_j>,
     minus the squared norm of f_i: O(MN) time and memory.
     `worst_case_coherence` and `average_coherence` each run only the
@@ -246,12 +250,11 @@ def _mu_by_blocks(frame: Frame) -> float:
     """mu as a running max over upper-triangle Gram blocks of B rows."""
     n = frame.cols
     step = max(1, _BLOCK_ENTRIES // n)
-    in_place = not frame.is_complex  # a complex block's moduli need a real array
     mu = 0.0
     for start in range(0, n, step):
         block = gram(frame, start, start + step)
         np.fill_diagonal(block, 0.0)  # entry (i, i) of a block is <f, f>
-        mu = max(mu, float(np.abs(block, out=block if in_place else None).max()))
+        mu = max(mu, float(np.abs(block, out=block).real.max()))
         del block  # freed before the next block is formed
     return mu
 

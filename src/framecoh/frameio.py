@@ -13,9 +13,9 @@ form) and the imaginary sign comes from its sign bit, so both formats
 round-trip bit-exactly for both scalar fields, the sign of zero included.
 
 Structured frames are built from few numbers (a harmonic frame from N roots
-of unity, a code frame from two values), so the writer formats each distinct
-bit pattern once and the reader parses each distinct token once; the bytes
-written and the bits read are those of the per-entry loop.
+of unity, a code frame from two values): once one of the first 1024 entries
+repeats, the writer formats each distinct bit pattern once and the reader
+parses each distinct token once, with the bytes and bits of the per-entry loop.
 """
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ from .frame import COMPLEX, REAL, Frame
 
 MAGIC = "FRAME"
 VERSION = "v1"
-# the reader builds its token -> value table only if a token repeats among
-# this many leading ones; an all-distinct file is parsed entry by entry
+# the writer and the reader build their lookup tables only if an item repeats
+# among this many leading ones; all-distinct data goes entry by entry
 _PROBE_TOKENS = 1024
 
 
@@ -42,12 +42,17 @@ def _parse_complex(tok: str) -> complex:
     return complex(tok[:-1] + "j")
 
 
+def _repeats_early(items) -> bool:
+    """Whether one of the first `_PROBE_TOKENS` of ``items`` (list or 1-D array) repeats."""
+    probe = items[:_PROBE_TOKENS]
+    return len(set(probe)) < len(probe)
+
+
 def _reprs(x: np.ndarray):
-    """``repr`` of each entry of the float64 vector ``x``, one call per bit pattern."""
+    """``repr`` of each entry of float64 ``x``, one call per bit pattern after a probe repeat."""
     # bit patterns, not values: np.unique on floats would merge -0.0 into 0.0
     bits = x.view(np.int64)
-    ordered = np.sort(bits)  # a plain sort finds an all-distinct x at a sixth of np.unique's cost
-    if not (ordered[1:] == ordered[:-1]).any():
+    if not _repeats_early(bits):
         return map(repr, x.tolist())
     keys, inverse = np.unique(bits, return_inverse=True)
     strings = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
@@ -109,8 +114,7 @@ def _parse_header(line: str, path) -> tuple[int, int, str, bool]:
 
 def _parse_tokens(tokens: list, parse) -> list:
     """``parse`` of each token, one call per distinct token once the probe sees a repeat."""
-    probe = tokens[:_PROBE_TOKENS]
-    if len(set(probe)) == len(probe):
+    if not _repeats_early(tokens):
         return list(map(parse, tokens))
     values = dict.fromkeys(tokens)
     for tok in values:

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, file round trips, config files."""
+import inspect
 import math
 import tracemalloc
 
@@ -25,8 +26,9 @@ from framecoh import (
     write_frame,
 )
 from framecoh.bounds import BOUND_HEADER
-from framecoh.cli import main, read_config_file
+from framecoh.cli import _EXPERIMENT_KEYS, _KEY_CASTS, main, read_config_file
 from framecoh.constructions import GaussianFrameSpec, HarmonicFrameSpec
+from framecoh.experiments import RUNNERS
 from framecoh.ost import OST_TRIAL_HEADER
 from framecoh.fixtures import flip_demo_path
 
@@ -207,8 +209,9 @@ _RECOVER = "--sigma2", "1", "--trials", "2"
 
 #: (argv, message): each exits 2 with stdout empty and one error line on stderr.
 #: {demo} is the 5 x 10 flip demo, {tmp}/missing/ a directory that does not
-#: exist, {tmp}/trials.cfg holds trials=abc, {tmp}/header.frame a bad header;
-#: {last} in a message is the row's last argument.
+#: exist, {tmp}/trials.cfg holds trials=abc, {tmp}/header.frame a bad header,
+#: {tmp}/one.frame a valid 2 x 1 frame; {last} in a message is the row's last
+#: argument.
 CONTRACT_ROWS = {
     "construct-output": (["construct", "gaussian", "-M", "4", "-N", "8",
                           "-o", "{tmp}/missing/o"], _NO_FILE),
@@ -264,23 +267,45 @@ CONTRACT_ROWS = {
     "recover-bad-header": (["recover", "{tmp}/header.frame", "--sigma2", "1"],
                            "{tmp}/header.frame: line 1: "
                            "expected header 'FRAME v1 <M> <N> <real|complex>'"),
+    "construct-harmonic-one-column": (["construct", "harmonic", "-N", "1", "-M", "1",
+                                       "-o", "{tmp}/h1.frame"],
+                                      "coherence undefined for a single vector"),
+    "flip-one-column": (["flip", "{tmp}/one.frame", "-o", "{tmp}/f.frame"],
+                        "coherence undefined for a single vector"),
+}
+
+_CONTRACT_FIXTURES = {
+    "trials.cfg": "trials=abc\n",
+    "header.frame": "FRAME v2 2 2 real\n1.0 0.0 0.0 1.0\n",
+    "one.frame": "FRAME v1 2 1 real\n1.0 0.0\n",
 }
 
 
-@pytest.mark.parametrize("row", sorted(CONTRACT_ROWS))
-def test_bad_input_one_error_line_exit_2(tmp_path, capsys, row):
-    argv, message = CONTRACT_ROWS[row]
-    (tmp_path / "trials.cfg").write_text("trials=abc\n")
-    (tmp_path / "header.frame").write_text("FRAME v2 2 2 real\n1.0 0.0 0.0 1.0\n")
+def _run_contract_row(tmp_path, capsys, row):
+    """(exit code, captured output, names) of ``CONTRACT_ROWS[row]`` run in ``tmp_path``."""
+    for name, text in _CONTRACT_FIXTURES.items():
+        (tmp_path / name).write_text(text)
     names = {"tmp": tmp_path, "demo": flip_demo_path()}
-    argv = [arg.format(**names) for arg in argv]
+    argv = [arg.format(**names) for arg in CONTRACT_ROWS[row][0]]
     try:
         rc = main(argv)
     except SystemExit as exc:  # an argparse usage error, reported by _Parser.error
         rc = exc.code
-    captured = capsys.readouterr()
+    return rc, capsys.readouterr(), dict(names, last=argv[-1])
+
+
+@pytest.mark.parametrize("row", sorted(CONTRACT_ROWS))
+def test_bad_input_one_error_line_exit_2(tmp_path, capsys, row):
+    rc, captured, names = _run_contract_row(tmp_path, capsys, row)
     assert (rc, captured.out) == (2, "")
-    assert captured.err == "error: " + message.format(last=argv[-1], **names) + "\n"
+    assert captured.err == "error: " + CONTRACT_ROWS[row][1].format(**names) + "\n"
+
+
+@pytest.mark.parametrize("row", ["construct-harmonic-one-column", "flip-one-column"])
+def test_single_vector_writes_no_output_file(tmp_path, capsys, row):
+    rc, _, _ = _run_contract_row(tmp_path, capsys, row)
+    assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONTRACT_FIXTURES)
 
 
 def test_flip_demo_prints_pattern(tmp_path, capsys):
@@ -323,6 +348,18 @@ def test_experiment_exit_codes(tmp_path, capsys):
     rc = main(["experiment", "no-such-experiment"])
     assert rc == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+def test_experiment_table_matches_runners():
+    # a runner missing from the table would run with its defaults, its flags ignored
+    assert set(_EXPERIMENT_KEYS) == set(RUNNERS)
+    for name, keys in _EXPERIMENT_KEYS.items():
+        params = inspect.signature(RUNNERS[name]).parameters
+        for key, kw in keys.items():
+            if name == "code-geometry":  # -m and -t are folded into one (m, t) case
+                kw = "cases"
+            assert kw in params, (name, key, kw)
+    assert {key for keys in _EXPERIMENT_KEYS.values() for key in keys} == set(_KEY_CASTS)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # empty-selection reseeds

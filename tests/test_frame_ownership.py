@@ -64,6 +64,13 @@ class TestMemory:
         _, peak = _peak_bytes(lambda: _mu_by_blocks(frame))
         assert peak <= 1.1 * _BLOCK_ENTRIES * frame.data.itemsize
 
+    def test_mu_holds_one_complex_gram_block(self):
+        # a short-wide complex frame: its moduli must not need a second real block
+        rng = np.random.default_rng(7)
+        frame = Frame(rng.standard_normal((64, 4096)) + 1j * rng.standard_normal((64, 4096)))
+        _, peak = _peak_bytes(lambda: _mu_by_blocks(frame))
+        assert peak <= 1.1 * _BLOCK_ENTRIES * frame.data.itemsize
+
     def test_gaussian_trials_hold_one_frame(self):
         # the first trial's frame must be gone before the second is drawn
         _, peak = _peak_bytes(lambda: run_gaussian_geometry(512, 2048, trials=2))
@@ -146,6 +153,21 @@ class TestChecks:
         arr = np.array([[1.0, 1e200], [0.0, 1.0]], dtype=dtype)
         with pytest.raises(ValueError, match=r"^column 1 has norm inf; not unit within 1e-10$"):
             Frame(arr, normalize=False)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_subnormal_squares_refused_when_normalizing(self, dtype):
+        # 3 * (1e-160)^2 is subnormal: the quotient's norm is 1.0000056
+        arr = np.array([[1e-160, 1.0], [1e-160, 0.0], [1e-160, 0.0]], dtype=dtype)
+        message = r"^column 0 has norm 1\.00000\d+; not unit within 1e-10$"
+        with pytest.raises(ValueError, match=message):
+            Frame(arr)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_underflowing_norm_rejected_when_normalizing(self, dtype):
+        # (1e-170)^2 underflows to zero, though no entry is zero
+        arr = np.array([[1e-170, 1.0], [1e-170, 0.0], [1e-170, 0.0]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"^column 0 has a norm that underflows float64$"):
+            Frame(arr)
 
     def test_off_unit_message_reports_linalg_norm(self):
         arr = np.eye(3)
