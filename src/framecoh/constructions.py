@@ -108,9 +108,11 @@ class HarmonicFrameSpec:
 def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     """Frame built from an explicit set of DFT rows, columns normalized.
 
-    The row-k, column-l entry of the non-normalized DFT is
-    exp(2*pi*i*k*l/N); the product k*l is reduced mod N in exact integer
-    arithmetic and picks an entry of a table of the N roots of unity, so
+    ``rows`` must hold integers (a bool or float array is refused, not
+    read as indices); repeats are dropped.  The row-k, column-l entry of
+    the non-normalized DFT is exp(2*pi*i*k*l/N); the product k*l is
+    reduced mod N in exact integers, 32-bit while (N-1)^2 fits and 64-bit
+    beyond, and picks an entry of a table of the N roots of unity, so
     phases stay accurate for large N and only N exponentials are evaluated.
     The |R| x N result is allocated once and filled in blocks of
     max(1, 2^16 // N) rows, each block's products formed, reduced and
@@ -118,12 +120,18 @@ def harmonic_frame_from_rows(dft_size: int, rows) -> Frame:
     frame's own bytes.  The result is a group frame (see
     `xor_stationary_coherence`).
     """
-    rows = np.asarray(sorted(set(int(r) for r in np.asarray(rows).ravel())), dtype=np.int64)
+    rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("row selection must be nonempty")
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"row indices must be integers, got dtype {rows.dtype}")
+    rows = np.unique(rows)
     if rows[0] < 0 or rows[-1] >= dft_size:
         raise ValueError(f"row indices must lie in [0, {dft_size})")
-    cols = np.arange(dft_size, dtype=np.int64)
+    # every product k*l is at most (N-1)^2, so the narrowest exact type is known up front
+    itype = np.int32 if (dft_size - 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    rows = rows.astype(itype)
+    cols = np.arange(dft_size, dtype=itype)
     # every entry has modulus 1, so normalization just divides by sqrt(#rows)
     roots = np.exp(2j * np.pi * cols / dft_size) / math.sqrt(rows.size)
     data = np.empty((rows.size, dft_size), dtype=np.complex128)

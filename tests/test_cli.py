@@ -223,6 +223,8 @@ CONTRACT_ROWS = {
     "analyze-csv": (["analyze", "{demo}", "--csv", "{tmp}/missing/o"], _NO_FILE),
     "flip-pattern-out": (["flip", "{demo}", "-o", "{tmp}/ok.frame",
                           "--pattern-out", "{tmp}/missing/o"], _NO_FILE),
+    "flip-output-pattern-ok": (["flip", "{demo}", "--pattern-out", "{tmp}/ok.pattern",
+                                "-o", "{tmp}/missing/o"], _NO_FILE),
     "recover-K-above-N": (["recover", "{demo}", *_RECOVER, "-K", "11"],
                           "sparsity K = 11 exceeds the signal length N = 10"),
     "recover-negative-lam": (["recover", "{demo}", *_RECOVER, "--lam", "-1"],
@@ -305,6 +307,15 @@ def test_bad_input_one_error_line_exit_2(tmp_path, capsys, row):
 def test_single_vector_writes_no_output_file(tmp_path, capsys, row):
     rc, _, _ = _run_contract_row(tmp_path, capsys, row)
     assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONTRACT_FIXTURES)
+
+
+@pytest.mark.parametrize("row", ["flip-pattern-out", "flip-output-pattern-ok"])
+def test_flip_with_one_bad_output_writes_neither(tmp_path, capsys, row):
+    rc, _, _ = _run_contract_row(tmp_path, capsys, row)
+    assert rc == 2
+    assert not (tmp_path / "ok.frame").exists()
+    assert not (tmp_path / "ok.pattern").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_CONTRACT_FIXTURES)
 
 

@@ -123,6 +123,19 @@ class TestHarmonic:
             harmonic_frame_from_rows(16, [])
         with pytest.raises(ValueError):
             harmonic_frame_from_rows(16, [16])
+        with pytest.raises(ValueError, match=r"^row selection must be nonempty$"):
+            harmonic_frame_from_rows(16, np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("rows", [[2.5, 3], np.array([2.0, 3.0]), np.array([True, False])],
+                             ids=["float-list", "float-array", "bool-mask"])
+    def test_non_integer_rows_refused(self, rows):
+        # 2.5 used to truncate to row 2, and a mask to read as rows {0, 1}
+        with pytest.raises(ValueError, match=r"^row indices must be integers, got dtype "):
+            harmonic_frame_from_rows(8, rows)
+
+    def test_rows_deduped_and_sorted(self):
+        frame = harmonic_frame_from_rows(8, np.array([[5, 1], [5, 3]], dtype=np.uint8))
+        assert np.array_equal(frame.data, harmonic_frame_from_rows(8, [1, 3, 5]).data)
         with pytest.raises(ValueError):
             HarmonicFrameSpec(16, 17)
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):

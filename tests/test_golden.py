@@ -224,6 +224,9 @@ HARMONIC_FRAME_CASES = {
     "4099-odd-rows": lambda: harmonic_frame_from_rows(4099, range(1, 4099, 2)),  # prime N
     "spec-1024-64-seed0": lambda: build_harmonic(HarmonicFrameSpec(1024, 64, 0))[0],
     "spec-1024-64-seed1": lambda: build_harmonic(HarmonicFrameSpec(1024, 64, 1))[0],
+    # the largest N whose products k*l <= (N-1)^2 fit in int32, and the next
+    "46341-rows-1-2-last": lambda: harmonic_frame_from_rows(46341, [1, 2, 46340]),
+    "46342-rows-1-2-last": lambda: harmonic_frame_from_rows(46342, [1, 2, 46341]),
 }
 
 # SHA-256 of the frame's C-order bytes, i.e. of ``frame.data.tobytes()``
@@ -233,6 +236,8 @@ HARMONIC_FRAME_DIGESTS = {
     "4099-odd-rows": "2b724d3cd4015de41d98b77e3cef5241987dd92e9e91c35ab9c7259ecbf3d98b",
     "spec-1024-64-seed0": "aef9ee6604a61eaf5ee277b0ee891f70ae371bb49196624bfd6e053d0388b4a1",
     "spec-1024-64-seed1": "2a0712c79bb8a8630bd6b2876ce1bd35448c6d15c87a4756ff6d9f28df9b4f68",
+    "46341-rows-1-2-last": "58ef7adf4807aaa66c0b3a892179b978173e719bb9caf9ebfa2441a96ed06ef3",
+    "46342-rows-1-2-last": "d2dc7f74381f7153e43c3af12cad8b9750222f7f396658be2be1ee3afda13dcc",
 }
 
 
@@ -246,6 +251,18 @@ def test_harmonic_frame_bytes_digest(name):
     data = HARMONIC_FRAME_CASES[name]().data
     assert data.dtype == np.complex128
     assert _bytes_digest(data) == HARMONIC_FRAME_DIGESTS[name]
+
+
+@pytest.mark.parametrize("n", [46341, 46342])
+def test_harmonic_largest_products_pick_python_int_residues(n):
+    # the last row's products reach (N-1)^2, the most an index type has to hold
+    rows = [1, 2, n - 1]
+    data = harmonic_frame_from_rows(n, rows).data
+    roots = np.exp(2j * np.pi * np.arange(n) / n) / np.sqrt(len(rows))
+    cols = range(n - 64, n)
+    for i, k in enumerate(rows):
+        want = roots[[(k * l) % n for l in cols]]
+        assert np.array_equal(data[i, n - 64:], want)
 
 
 _RAW = np.random.default_rng(19).standard_normal((2, 96, 160))
