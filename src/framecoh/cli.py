@@ -119,20 +119,16 @@ def _cmd_flip(args) -> int:
     flipped, pattern = linear_time_flip(frame)
     nu_flipped = average_coherence(flipped)
     out = args.output or (str(args.frame) + ".flipped")
-    # both outputs are opened before either is written: a pattern path that
-    # cannot be opened stops before the frame, and a frame that cannot be
-    # written takes the opened pattern file with it
-    pattern_fh = open(args.pattern_out, "w", encoding="ascii") if args.pattern_out else None
+    # the small pattern file goes first and is removed if the frame cannot be
+    # written, so a failure of either output leaves neither behind
+    if args.pattern_out:
+        _write_text(args.pattern_out, pattern.to_string() + "\n")
     try:
         write_frame(out, flipped, binary=args.binary)
     except BaseException:
-        if pattern_fh is not None:
-            pattern_fh.close()
+        if args.pattern_out:
             os.remove(args.pattern_out)
         raise
-    if pattern_fh is not None:
-        with pattern_fh:
-            pattern_fh.write(pattern.to_string() + "\n")
     print(pattern.to_string())
     print(f"average coherence: {nu:.12g} -> {nu_flipped:.12g}")
     print(f"wrote flipped frame to {out}")

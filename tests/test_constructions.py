@@ -119,12 +119,16 @@ class TestHarmonic:
         assert np.allclose(np.linalg.norm(frame.data, axis=0), 1.0, atol=1e-10)
 
     def test_row_validation(self):
-        with pytest.raises(ValueError):
-            harmonic_frame_from_rows(16, [])
+        # np.asarray([]) is float64: an empty selection is named before the dtype check
+        for empty in ([], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match=r"^row selection must be nonempty$"):
+                harmonic_frame_from_rows(16, empty)
         with pytest.raises(ValueError):
             harmonic_frame_from_rows(16, [16])
-        with pytest.raises(ValueError, match=r"^row selection must be nonempty$"):
-            harmonic_frame_from_rows(16, np.array([], dtype=np.int64))
+        with pytest.raises(ValueError):
+            HarmonicFrameSpec(16, 17)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            HarmonicFrameSpec(16, 4, seed=-1)
 
     @pytest.mark.parametrize("rows", [[2.5, 3], np.array([2.0, 3.0]), np.array([True, False])],
                              ids=["float-list", "float-array", "bool-mask"])
@@ -136,10 +140,6 @@ class TestHarmonic:
     def test_rows_deduped_and_sorted(self):
         frame = harmonic_frame_from_rows(8, np.array([[5, 1], [5, 3]], dtype=np.uint8))
         assert np.array_equal(frame.data, harmonic_frame_from_rows(8, [1, 3, 5]).data)
-        with pytest.raises(ValueError):
-            HarmonicFrameSpec(16, 17)
-        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-            HarmonicFrameSpec(16, 4, seed=-1)
 
     def test_regime_flag(self):
         assert not HarmonicFrameSpec(1024, 64).regime_ok()  # 16 ln 1024 = 110.9 > 64
