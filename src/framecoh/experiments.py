@@ -34,6 +34,7 @@ from .ost import (
     ost_trials,
     self_interference_floor,
     sparsity_regime_limit,
+    weak_rip_coupling,
     weak_rip_estimate,
 )
 
@@ -315,7 +316,7 @@ def run_weak_rip(
     summary.append(f"orthonormal basis: {int(round(rate0 * trials))} violations in {trials} trials")
 
     mu = worst_case_coherence(frame)
-    delta = 10.0 * mu * math.sqrt(2.0 * code_k * ln)  # equality in 2K ln N <= delta^2/(100 mu^2)
+    delta = weak_rip_coupling(mu, code_k, n)
     rate1 = weak_rip_estimate(frame, x1, delta=delta, trials=trials, seed=trial_seed(seed, 3))
     bound = 4.0 * code_k / n**2
     k_viol = int(round(rate1 * trials))

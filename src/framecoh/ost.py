@@ -324,26 +324,74 @@ def ost_trials(
     return rows
 
 
+def weak_rip_coupling(mu: float, k: int, n: int) -> float:
+    """Weak-RIP delta = 10 mu sqrt(2 K ln N): equality in 2 K ln N <= delta^2/(100 mu^2)."""
+    return 10.0 * mu * math.sqrt(2.0 * k * math.log(n))
+
+
+def _landing_positions(rng: np.random.Generator, n: int, k: int, trials: int) -> np.ndarray:
+    """(trials, K) array whose row i is a uniform ordered K-subset of range(n).
+
+    Row i is where the first K steps of a Fisher-Yates shuffle of range(n)
+    leave positions 0..K-1, which has the law of ``rng.permutation(n)[support]``
+    for any K distinct ``support`` indices, at O(K) draws per trial instead of
+    O(N).  Every swap target is drawn first, in one call, so the stream does
+    not depend on the block size; the swaps then run for one block of trials
+    at a time, on 2K slots per trial: slot p < K is position p, and slot K + p
+    is a target >= K, the p-th in sorted order, shared by equal targets.
+    """
+    targets = rng.integers(np.arange(k), n, size=(trials, k))
+    positions = np.empty_like(targets)
+    steps = np.arange(k)
+    block = max(1, _WEAK_RIP_ENTRIES // max(1, k))
+    for start in range(0, trials, block):
+        key = targets[start:start + block] * k + steps
+        key.sort(axis=1)
+        sorted_targets, step = np.divmod(key, k)
+        b = key.shape[0]
+        cols = np.arange(b)
+        # lead[:, p]: sorted index of the first target equal to sorted_targets[:, p]
+        lead = np.zeros_like(key)
+        lead[:, 1:] = np.where(sorted_targets[:, 1:] != sorted_targets[:, :-1], steps[1:], 0)
+        np.maximum.accumulate(lead, axis=1, out=lead)
+        slot = np.where(sorted_targets < k, sorted_targets, k + lead)
+        # dst[i, c]: flat index into slots of the slot that step i of trial c swaps with
+        dst = np.empty((k, b), dtype=np.int64)
+        dst[step, cols[:, None]] = slot * b + cols[:, None]
+        slots = np.empty((2 * k, b), dtype=np.int64)
+        slots[:k] = steps[:, None]
+        slots[k:] = sorted_targets.T
+        flat = slots.ravel()
+        for i in range(k):
+            swapped = flat[dst[i]]
+            flat[dst[i]] = slots[i]
+            slots[i] = swapped
+        positions[start:start + b] = slots[:k].T
+    return positions
+
+
 def weak_rip_estimate(frame: Frame, x: SparseSignal, delta: float, trials: int, seed: int) -> float:
     """Fraction of random entry permutations y of x violating
     (1-delta)||y||^2 <= ||Fy||^2 <= (1+delta)||y||^2.
 
-    Each trial draws a uniform permutation of all N coordinates; because x
-    is sparse, ||Fy||^2 only needs the columns at the permuted support.
-    The trial loop keeps only those K positions; the energies are then
-    evaluated over blocks of trials whose gathered columns hold about
-    _WEAK_RIP_ENTRIES entries.  A blocked energy may differ from a
-    one-trial-at-a-time evaluation in its last ulp, so the count is exact
-    unless an energy lies within rounding of a band edge.
+    Because x is sparse, ||Fy||^2 only needs the columns where its K
+    nonzeros land, so each trial draws just those K positions, a uniform
+    ordered K-subset of the N coordinates, with :func:`_landing_positions`
+    (the law of a uniform permutation restricted to the support, from O(K)
+    draws per trial).  The energies are then evaluated over blocks of trials
+    whose gathered columns hold about _WEAK_RIP_ENTRIES entries.  A blocked
+    energy may differ from a one-trial-at-a-time evaluation in its last ulp,
+    so the count is exact unless an energy lies within rounding of a band
+    edge.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be a positive finite number, got {delta!r}")
     if x.length != frame.cols:
         raise ValueError("signal length must match the number of frame columns")
     rng = np.random.default_rng(seed)
-    positions = np.empty((trials, x.sparsity), dtype=np.int64)
-    for i in range(trials):
-        positions[i] = rng.permutation(x.length)[x.support]  # y[perm[j]] = x[j]
+    positions = _landing_positions(rng, x.length, x.sparsity, trials)  # y[positions[i, j]] = x[j]
     # columns[n] is f_n; one contiguous copy makes each gather read whole rows
     columns = np.ascontiguousarray(frame.data.T)
     values = x.values

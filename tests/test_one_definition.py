@@ -7,6 +7,8 @@ spellings below may occur at most once across ``src/framecoh/*.py``:
 - ``sigma2 * math.log(``: the noise scale sqrt(2 sigma^2 ln N), `ost.noise_scale`;
 - ``20.0 / t``: the self-interference floor (20/t) mu ||x|| sqrt(2 ln N),
   `ost.self_interference_floor`;
+- ``10.0 * mu * math.sqrt(``: the Weak-RIP coupling delta = 10 mu sqrt(2 K ln N),
+  `ost.weak_rip_coupling`;
 - ``joint frequency``: the frequency-gate summary line, `experiments._gate`;
 - ``rng.choice(``: the K-sparse support draw, `ost.draw_signal`;
 - ``unknown experiment``: the unknown-name error, `experiments.run_experiment`;
@@ -24,7 +26,7 @@ SOURCES = sorted(Path(framecoh.__file__).parent.glob("*.py"))
 @pytest.mark.parametrize(
     "spelling",
     ["164.0", "sigma2 * math.log(", "joint frequency", "rng.choice(", "unknown experiment",
-     "K must be >= 0", "20.0 / t"],
+     "K must be >= 0", "20.0 / t", "10.0 * mu * math.sqrt("],
 )
 def test_formula_written_once(spelling):
     where = [

@@ -452,22 +452,76 @@ WEAK_RIP_FRAMES = {
 # violations in 1000 trials at delta = 0.05 and 0.3, by frame and K, as
 # counted when every trial evaluated its own ||F y||^2
 WEAK_RIP_COUNTS = {
-    "code-4-1": {0: (0, 0), 1: (0, 0), 3: (707, 46)},
-    "gaussian-16x64": {0: (0, 0), 1: (0, 0), 3: (791, 71)},
-    "complex-8x24": {0: (0, 0), 1: (0, 0), 3: (891, 335)},
+    "code-4-1": {0: (0, 0), 1: (0, 0), 3: (699, 59)},
+    "gaussian-16x64": {0: (0, 0), 1: (0, 0), 3: (772, 69)},
+    "complex-8x24": {0: (0, 0), 1: (0, 0), 3: (876, 339)},
 }
 
 
-def _violations_one_trial_at_a_time(frame, x, delta, trials, seed):
-    rng = np.random.default_rng(seed)
+def _pinned_signal(n, k):
+    rng = np.random.default_rng(40 + k)
+    support = np.sort(rng.choice(n, k, replace=False))
+    return SparseSignal(n, support, np.exp(2j * np.pi * rng.random(k)))
+
+
+def _violations(frame, x, delta, positions):
+    """Violations over the rows of ``positions``, one ||F y||^2 per trial."""
     energy = float(np.vdot(x.values, x.values).real)
     count = 0
-    for _ in range(trials):
-        positions = rng.permutation(x.length)[x.support]
-        fy = frame.data[:, positions] @ x.values
+    for row in positions:
+        fy = frame.data[:, row] @ x.values
         e = float(np.vdot(fy, fy).real)
         count += e < (1.0 - delta) * energy or e > (1.0 + delta) * energy
     return count
+
+
+def _violations_one_trial_at_a_time(frame, x, delta, trials, seed):
+    positions = ost._landing_positions(np.random.default_rng(seed), x.length, x.sparsity, trials)
+    return _violations(frame, x, delta, positions)
+
+
+def _fisher_yates_prefixes(targets, n):
+    """Positions 0..K-1 after swapping position i with targets[t, i], i = 0..K-1."""
+    out = []
+    for row in targets.tolist():
+        perm = list(range(n))
+        for i, j in enumerate(row):
+            perm[i], perm[j] = perm[j], perm[i]
+        out.append(perm[:len(row)])
+    return np.array(out, dtype=np.int64).reshape(targets.shape)
+
+
+class TestLandingPositions:
+    def test_is_the_fisher_yates_prefix_of_its_targets(self):
+        for n, k in [(5, 3), (8, 8), (64, 3), (16, 10), (300, 40), (1, 1), (4, 0)]:
+            targets = np.random.default_rng(9).integers(np.arange(k), n, size=(400, k))
+            got = ost._landing_positions(np.random.default_rng(9), n, k, 400)
+            assert np.array_equal(got, _fisher_yates_prefixes(targets, n))
+
+    def test_ordered_triples_uniform(self):
+        trials = 60000
+        got = ost._landing_positions(np.random.default_rng(3), 5, 3, trials)
+        codes = (got[:, 0] * 5 + got[:, 1]) * 5 + got[:, 2]
+        counts = np.bincount(codes, minlength=125)
+        distinct = (got[:, 0] != got[:, 1]) & (got[:, 0] != got[:, 2]) & (got[:, 1] != got[:, 2])
+        assert distinct.all()
+        observed = counts[counts > 0]
+        assert observed.size == 60  # every ordered triple of range(5)
+        expected = trials / 60
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2 < 98.32  # 0.999 quantile of chi-square with 59 degrees of freedom
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 33])
+    def test_k_equal_n_gives_permutations(self, n):
+        got = ost._landing_positions(np.random.default_rng(n), n, n, 500)
+        assert np.array_equal(np.sort(got, axis=1), np.broadcast_to(np.arange(n), got.shape))
+
+    @pytest.mark.parametrize("n,k", [(50, 9), (24, 24), (4096, 246)])
+    def test_block_size_does_not_move_positions(self, monkeypatch, n, k):
+        default = ost._landing_positions(np.random.default_rng(11), n, k, 700)
+        monkeypatch.setattr(ost, "_WEAK_RIP_ENTRIES", 64)
+        small = ost._landing_positions(np.random.default_rng(11), n, k, 700)
+        assert np.array_equal(default, small)
 
 
 class TestWeakRip:
@@ -501,15 +555,39 @@ class TestWeakRip:
         if entries is not None:
             monkeypatch.setattr(ost, "_WEAK_RIP_ENTRIES", entries)
         f = WEAK_RIP_FRAMES[name]()
-        n = f.cols
-        rng = np.random.default_rng(40 + k)
-        support = np.sort(rng.choice(n, k, replace=False))
-        x = SparseSignal(n, support, np.exp(2j * np.pi * rng.random(k)))
+        x = _pinned_signal(f.cols, k)
         trials = 1000
         for delta, pinned in zip((0.05, 0.3), WEAK_RIP_COUNTS[name][k]):
             rate = weak_rip_estimate(f, x, delta=delta, trials=trials, seed=50 + k)
             assert rate * trials == pinned
             assert pinned == _violations_one_trial_at_a_time(f, x, delta, trials, 50 + k)
+
+    @pytest.mark.parametrize("name", sorted(WEAK_RIP_FRAMES))
+    def test_rates_match_full_permutations(self, name):
+        # the landing positions have the law of rng.permutation(N)[support]:
+        # violation counts from both draws agree within a two-proportion z of 4
+        f = WEAK_RIP_FRAMES[name]()
+        x = _pinned_signal(f.cols, 3)
+        trials = 20000
+        rng = np.random.default_rng(60)
+        positions = np.array([rng.permutation(f.cols)[x.support] for _ in range(trials)])
+        fy = np.einsum("mtk,k->mt", f.data[:, positions], x.values)
+        energies = np.einsum("mt,mt->t", fy.real, fy.real) + np.einsum("mt,mt->t", fy.imag, fy.imag)
+        energy = float(np.vdot(x.values, x.values).real)
+        for delta in (0.05, 0.3):
+            reference = np.count_nonzero(
+                (energies < (1.0 - delta) * energy) | (energies > (1.0 + delta) * energy)
+            )
+            count = round(weak_rip_estimate(f, x, delta=delta, trials=trials, seed=61) * trials)
+            pooled = (count + reference) / (2 * trials)
+            z = (count - reference) / trials / math.sqrt(pooled * (1.0 - pooled) * 2 / trials)
+            assert abs(z) < 4.0, (delta, count, reference)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.5, 0.0])
+    def test_delta_must_be_positive_finite(self, delta):
+        f = random_frame(3, 8, seed=0)
+        with pytest.raises(ValueError, match="delta"):
+            weak_rip_estimate(f, SparseSignal(8, [0], [1.0]), delta, trials=10, seed=0)
 
     def test_validation(self):
         f = random_frame(3, 8, seed=0)
