@@ -21,7 +21,8 @@ OST_C1 = 37.0 * math.e
 OST_C2 = 2.0 / (1.0 - math.exp(-0.5))
 OST_C3 = 1.0 + math.exp(-0.5) / (1.0 - math.exp(-0.5))
 
-#: Frame entries that `weak_rip_estimate` gathers per block of trials.
+#: Frame entries that `weak_rip_estimate` gathers, and landing positions that
+#: `_landing_positions` resolves, per block of trials.
 _WEAK_RIP_ENTRIES = 1 << 15
 
 
@@ -349,7 +350,7 @@ def _landing_positions(rng: np.random.Generator, n: int, k: int, trials: int) ->
         key.sort(axis=1)
         sorted_targets, step = np.divmod(key, k)
         b = key.shape[0]
-        cols = np.arange(b)
+        col = np.arange(b)[:, None]
         # lead[:, p]: sorted index of the first target equal to sorted_targets[:, p]
         lead = np.zeros_like(key)
         lead[:, 1:] = np.where(sorted_targets[:, 1:] != sorted_targets[:, :-1], steps[1:], 0)
@@ -357,7 +358,7 @@ def _landing_positions(rng: np.random.Generator, n: int, k: int, trials: int) ->
         slot = np.where(sorted_targets < k, sorted_targets, k + lead)
         # dst[i, c]: flat index into slots of the slot that step i of trial c swaps with
         dst = np.empty((k, b), dtype=np.int64)
-        dst[step, cols[:, None]] = slot * b + cols[:, None]
+        dst[step, col] = slot * b + col
         slots = np.empty((2 * k, b), dtype=np.int64)
         slots[:k] = steps[:, None]
         slots[k:] = sorted_targets.T

@@ -464,8 +464,8 @@ def _pinned_signal(n, k):
     return SparseSignal(n, support, np.exp(2j * np.pi * rng.random(k)))
 
 
-def _violations(frame, x, delta, positions):
-    """Violations over the rows of ``positions``, one ||F y||^2 per trial."""
+def _violations_one_trial_at_a_time(frame, x, delta, trials, seed):
+    positions = ost._landing_positions(np.random.default_rng(seed), x.length, x.sparsity, trials)
     energy = float(np.vdot(x.values, x.values).real)
     count = 0
     for row in positions:
@@ -473,11 +473,6 @@ def _violations(frame, x, delta, positions):
         e = float(np.vdot(fy, fy).real)
         count += e < (1.0 - delta) * energy or e > (1.0 + delta) * energy
     return count
-
-
-def _violations_one_trial_at_a_time(frame, x, delta, trials, seed):
-    positions = ost._landing_positions(np.random.default_rng(seed), x.length, x.sparsity, trials)
-    return _violations(frame, x, delta, positions)
 
 
 def _fisher_yates_prefixes(targets, n):
